@@ -17,8 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .birch import BirchConfig
 from .data_io import (
     DataError,
@@ -30,9 +28,8 @@ from .data_io import (
     write_results,
 )
 from .gcn import save_checkpoint
-from .graph import Partition, connected_components
 from .leiden import LeidenConfig, best_of_runs
-from .metrics import modularity, nmi
+from .metrics import connectivity_score, modularity
 from .pipeline import RunConfig, RunMode, metric_report, resolve_mu, run
 from .refine import RefineConfig, ThresholdRule, refine_labels
 
@@ -211,15 +208,13 @@ def _cmd_refine(args) -> int:
         raise DataError(str(exc)) from exc
     cfg = RefineConfig(leiden_runs=args.runs, threshold_rule=rule, seed=args.seed)
     refined = refine_labels(g, labels, cfg)
-    comp = lambda p: float(np.mean(
-        [connected_components(g, p.members(c)).k for c in range(p.k)]))
     record = {
         "labels": labels.k,
         "refined": refined.k,
         "Q_labels": modularity(g, labels),
         "Q_refined": modularity(g, refined),
-        "O_c_labels": comp(labels),
-        "O_c_refined": comp(refined),
+        "O_c_labels": connectivity_score(g, labels),
+        "O_c_refined": connectivity_score(g, refined),
     }
     if args.out is not None:
         write_results(Path(args.out), refined, record,

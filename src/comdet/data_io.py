@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, Partition, canonical_labels, connected_components
+from .graph import Graph, Partition, canonical_labels
 
 __all__ = [
     "DataError",
@@ -462,8 +462,3 @@ def load_cora_content(content_path, cites_path) -> tuple[Path, Path, Path]:
     _write_text(paths[1], "".join(attr_lines))
     _write_text(paths[2], "".join(label_lines))
     return paths
-
-
-def component_counts(g: Graph, p: Partition) -> np.ndarray:
-    """Connected components inside each community (reused by reports)."""
-    return np.array([connected_components(g, p.members(c)).k for c in range(p.k)])

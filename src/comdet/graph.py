@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 
 class Graph:
@@ -163,38 +163,14 @@ def canonical_labels(labels: np.ndarray) -> np.ndarray:
 
 
 def connected_components(g: Graph, nodes=None) -> Partition:
-    """BFS components of ``g`` restricted to ``nodes`` (all nodes when None).
+    """Connected components of ``g`` restricted to ``nodes`` (all nodes when None).
 
     Returns a partition aligned with the given node order (position ``i`` of
     the result is the component of ``nodes[i]``); component ids are dense in
-    order of first discovery.
+    order of each component's first position in ``nodes``.
     """
-    if nodes is None:
-        nodes = np.arange(g.n, dtype=np.int64)
-    else:
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= g.n):
-            raise ValueError("subset node out of range")
-        if np.unique(nodes).size != nodes.size:
-            raise ValueError("subset nodes must be distinct")
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[nodes] = np.arange(nodes.size)
-    comp = np.full(nodes.size, -1, dtype=np.int64)
-    next_id = 0
-    for i in range(nodes.size):
-        if comp[i] >= 0:
-            continue
-        comp[i] = next_id
-        q = deque([int(nodes[i])])
-        while q:
-            u = q.popleft()
-            for v in g.neighbors(u):
-                j = pos[v]
-                if j >= 0 and comp[j] < 0:
-                    comp[j] = next_id
-                    q.append(int(v))
-        next_id += 1
-    return Partition(comp)
+    sub = g if nodes is None else induced_subgraph(g, nodes)[0]
+    return split_into_components(sub, Partition(np.zeros(sub.n, dtype=np.int64)))
 
 
 def induced_subgraph(g: Graph, nodes) -> tuple[Graph, dict[int, int]]:
@@ -210,12 +186,9 @@ def induced_subgraph(g: Graph, nodes) -> tuple[Graph, dict[int, int]]:
         raise ValueError("subset nodes must be distinct")
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[nodes] = np.arange(nodes.size)
-    edges = []
-    for u in nodes:
-        for v in g.neighbors(int(u)):
-            if u < v and pos[v] >= 0:
-                edges.append((int(pos[u]), int(pos[v])))
-    sub = Graph(int(nodes.size), edges)
+    u, v = pos[g.edge_u], pos[g.edge_v]
+    keep = (u >= 0) & (v >= 0)
+    sub = Graph(int(nodes.size), np.stack([u[keep], v[keep]], axis=1))
     index_map = {int(old): int(new) for new, old in enumerate(nodes)}
     return sub, index_map
 
@@ -243,10 +216,33 @@ def merge_partitions(outer: Partition, inners) -> Partition:
     return Partition(out)
 
 
-def split_into_components(g: Graph, cs: Partition) -> Partition:
-    """Split every community of ``cs`` into its connected components."""
+def _community_components(g: Graph, cs: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of every community of ``cs``, in one csgraph pass.
+
+    Returns each node's component id and each component's community. Ids are
+    ranked by (community, lowest member).
+    """
     if cs.n != g.n:
         raise ValueError("partition size does not match graph")
-    inners = [connected_components(g, np.flatnonzero(cs.assignment == c))
-              for c in range(cs.k)]
-    return merge_partitions(cs, inners)
+    a = cs.assignment
+    same = a[g.edge_u] == a[g.edge_v]
+    adj = sp.coo_matrix((np.ones(int(same.sum())), (g.edge_u[same], g.edge_v[same])),
+                        shape=(g.n, g.n))
+    _, raw = csgraph.connected_components(adj, directed=False)
+    # a label's first index is its lowest member; keys sort by (community, lowest member)
+    lowest = np.unique(raw, return_index=True)[1]
+    keys, comp = np.unique(a * g.n + lowest[raw], return_inverse=True)
+    return comp, keys // g.n
+
+
+def split_into_components(g: Graph, cs: Partition) -> Partition:
+    """Split every community of ``cs`` into its connected components.
+
+    Component ids are ranked by (community, lowest member).
+    """
+    return Partition(_community_components(g, cs)[0])
+
+
+def component_counts(g: Graph, cs: Partition) -> np.ndarray:
+    """Number of connected components inside each community of ``cs``."""
+    return np.bincount(_community_components(g, cs)[1], minlength=cs.k)

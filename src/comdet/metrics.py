@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Partition, connected_components
+from .graph import Graph, Partition, component_counts
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,4 @@ def connectivity_score(g: Graph, cs: Partition) -> float:
         raise ValueError("partition size does not match graph")
     if cs.k == 0:
         raise ValueError("partition has no communities")
-    total = 0
-    for c in range(cs.k):
-        members = np.flatnonzero(cs.assignment == c)
-        total += connected_components(g, members).k
-    return total / cs.k
+    return float(component_counts(g, cs).sum() / cs.k)

@@ -179,7 +179,7 @@ def run(bundle: DatasetBundle, cfg: RunConfig | None = None) -> RunResult:
     target_r = PairwiseTarget(cs_r)
     loss_cfg = LossConfig(mu=mu)
     if cfg.mode is RunMode.LM_ONLY:
-        provider = lambda xe: total_loss(target_l, target_r, xe, LossConfig(mu=0.0))
+        provider = lambda xe: pairwise_loss(target_l, xe)
     elif cfg.mode is RunMode.LR_ONLY:
         provider = lambda xe: pairwise_loss(target_r, xe)
     else:

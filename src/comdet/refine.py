@@ -19,7 +19,7 @@ from .graph import (
     Graph,
     Partition,
     canonical_labels,
-    connected_components,
+    component_counts,
     induced_subgraph,
     merge_partitions,
 )
@@ -53,11 +53,11 @@ def refine_labels(g: Graph, labels: Partition, config: RefineConfig | None = Non
     if labels.n != g.n:
         raise ValueError("labels do not cover the graph")
     template = cfg.leiden if cfg.leiden is not None else LeidenConfig()
+    counts = component_counts(g, labels)
     inners = []
     for c in range(labels.k):
         members = np.flatnonzero(labels.assignment == c)
         sub, _ = induced_subgraph(g, members)
-        comp_count = connected_components(sub).k
         if sub.m == 0:
             part = Partition(np.arange(sub.n))
         else:
@@ -66,7 +66,7 @@ def refine_labels(g: Graph, labels: Partition, config: RefineConfig | None = Non
             part = best_of_runs(sub, cfg.leiden_runs,
                                 lambda p: modularity(sub, p),
                                 seeds=seeds, config=template)
-        inners.append(_merge_down(g, members, sub, part, comp_count, cfg.threshold_rule))
+        inners.append(_merge_down(g, members, sub, part, int(counts[c]), cfg.threshold_rule))
     return merge_partitions(labels, inners)
 
 

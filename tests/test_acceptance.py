@@ -23,13 +23,12 @@ import pytest
 from comdet.birch import BirchConfig, ClusteringFeature, birch_cluster
 from comdet.data_io import (
     SyntheticSpec,
-    component_counts,
     generate_synthetic,
     load_cora_content,
     load_dataset,
 )
 from comdet.gcn import GcnModel
-from comdet.graph import Graph, Partition, split_into_components
+from comdet.graph import Graph, Partition, component_counts, split_into_components
 from comdet.leiden import LeidenConfig, best_of_runs, leiden
 from comdet.loss import LossConfig, PairwiseTarget, total_loss
 from comdet.metrics import connectivity_score, modularity, nmi

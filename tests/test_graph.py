@@ -9,6 +9,7 @@ from comdet.graph import (
     Graph,
     Partition,
     canonical_labels,
+    component_counts,
     connected_components,
     induced_subgraph,
     merge_partitions,
@@ -109,6 +110,21 @@ def test_connected_components_matches_reachability_oracle():
         reach = _reachability(g)
         same = comp.assignment[:, None] == comp.assignment[None, :]
         assert np.array_equal(same, reach)
+        assert np.array_equal(comp.assignment, canonical_labels(comp.assignment))
+
+        # per community: reachability over intra-community edges only
+        cs = random_partition(rng, n, int(rng.integers(1, n + 1)))
+        a = cs.assignment
+        intra = a[g.edge_u] == a[g.edge_v]
+        reach = _reachability(Graph(n, np.stack([g.edge_u[intra], g.edge_v[intra]], axis=1)))
+        split = split_into_components(g, cs).assignment
+        assert np.array_equal(split[:, None] == split[None, :], reach)
+        lowest = [int(np.flatnonzero(split == s)[0]) for s in range(split.max() + 1)]
+        ranks = [(int(a[i]), i) for i in lowest]
+        assert ranks == sorted(ranks)
+        is_lowest = ~np.tril(reach, -1).any(axis=1)
+        assert np.array_equal(component_counts(g, cs),
+                              np.bincount(a[is_lowest], minlength=cs.k))
 
 
 def test_connected_components_subset_respects_order():
