@@ -29,31 +29,39 @@ class LeidenConfig:
     max_passes: int = 20
     theta: float = 0.01
 
+    def __post_init__(self) -> None:
+        if self.max_passes < 1:
+            raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
+        if not self.theta > 0:
+            raise ValueError(f"theta must be > 0, got {self.theta}")
+
 
 class _LevelGraph:
     """Weighted aggregate graph for one level of the hierarchy.
 
-    ``self_w[v]`` holds the total weight of edges contracted inside ``v``;
-    ``strength[v]`` is the weighted degree including twice the self weight,
-    so ``sum(strength) == two_m`` at every level.
+    ``src``, ``dst`` and ``w`` are integer arrays holding both directions of
+    every edge between distinct nodes, sorted by (src, dst). ``strength[v]``
+    is the weighted degree of ``v`` including twice the weight of edges
+    contracted inside it, so ``sum(strength) == two_m`` at every level.
+    ``strength`` and the per-node ascending ``nbrs``/``ws`` rows are Python
+    lists for the scalar loops of local moving and refinement.
     """
 
-    __slots__ = ("n", "nbrs", "ws", "strength", "self_w", "two_m")
-
-    def __init__(self, n, nbrs, ws, strength, self_w, two_m):
-        self.n = n
-        self.nbrs = nbrs
-        self.ws = ws
-        self.strength = strength
-        self.self_w = self_w
+    def __init__(self, src: np.ndarray, dst: np.ndarray, w: np.ndarray,
+                 strength: np.ndarray, two_m: int) -> None:
+        self.n = int(strength.size)
+        self.src, self.dst, self.w = src, dst, w
+        self.strength = strength.tolist()
         self.two_m = two_m
+        bounds = np.searchsorted(src, np.arange(self.n + 1)).tolist()
+        dst_l, w_l = dst.tolist(), w.tolist()
+        self.nbrs = [dst_l[i:j] for i, j in zip(bounds, bounds[1:])]
+        self.ws = [w_l[i:j] for i, j in zip(bounds, bounds[1:])]
 
     @classmethod
     def from_graph(cls, g: Graph) -> "_LevelGraph":
-        nbrs = [g.neighbors(v).tolist() for v in range(g.n)]
-        ws = [[1] * len(a) for a in nbrs]
-        strength = [int(d) for d in g.degrees]
-        return cls(g.n, nbrs, ws, strength, [0] * g.n, 2 * g.m)
+        src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+        return cls(src, g.indices, np.ones_like(g.indices), g.degrees, 2 * g.m)
 
 
 def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> bool:
@@ -184,40 +192,23 @@ def _refine(lg: _LevelGraph, comm: list[int], rng: np.random.Generator,
 
 def _aggregate(lg: _LevelGraph, ref: np.ndarray,
                comm: list[int]) -> tuple[_LevelGraph, list[int]]:
-    """Contract each refined group to one node; multiplicities become weights."""
-    r_count = int(ref.max()) + 1
-    pair_w: dict[tuple[int, int], int] = {}
-    self_w = [0] * r_count
-    for v in range(lg.n):
-        a = int(ref[v])
-        self_w[a] += lg.self_w[v]
-        for u, wt in zip(lg.nbrs[v], lg.ws[v]):
-            if u < v:
-                continue
-            b = int(ref[u])
-            if a == b:
-                self_w[a] += wt
-            else:
-                key = (a, b) if a < b else (b, a)
-                pair_w[key] = pair_w.get(key, 0) + wt
+    """Contract each refined group to one node; multiplicities become weights.
 
-    nbrs: list[list[int]] = [[] for _ in range(r_count)]
-    ws: list[list[int]] = [[] for _ in range(r_count)]
-    for (a, b) in sorted(pair_w):
-        wt = pair_w[(a, b)]
-        nbrs[a].append(b)
-        ws[a].append(wt)
-        nbrs[b].append(a)
-        ws[b].append(wt)
-
-    strength = [0] * r_count
-    new_comm = [0] * r_count
-    for v in range(lg.n):
-        a = int(ref[v])
-        strength[a] += lg.strength[v]
-        new_comm[a] = comm[v]
-    new_lg = _LevelGraph(r_count, nbrs, ws, strength, self_w, lg.two_m)
-    return new_lg, new_comm
+    Edges inside a group are dropped (their weight already counts in the
+    group's strength); the rest are merged by one ``np.unique`` over
+    ``a * r + b`` keys, which leaves them sorted by (src, dst). Weights and
+    strengths are summed in float64 by ``bincount``, exact while
+    ``two_m < 2**53``.
+    """
+    r = int(ref.max()) + 1
+    a, b = ref[lg.src], ref[lg.dst]
+    keep = a != b
+    keys, inv = np.unique(a[keep] * r + b[keep], return_inverse=True)
+    w = np.bincount(inv, weights=lg.w[keep]).astype(np.int64)
+    strength = np.bincount(ref, weights=lg.strength).astype(np.int64)
+    new_comm = np.empty(r, dtype=np.int64)
+    new_comm[ref] = comm
+    return _LevelGraph(keys // r, keys % r, w, strength, lg.two_m), new_comm.tolist()
 
 
 def _one_pass(g: Graph, start: np.ndarray, rng: np.random.Generator,
@@ -271,14 +262,20 @@ def best_of_runs(g: Graph, runs: int, score, seeds=None,
 
     ``score`` maps a partition to a real number; ties go to the lowest run
     index. When ``seeds`` is omitted they are spawned deterministically from
-    the config seed, so repeated calls reproduce the same winner.
+    the config seed (an integer, a numpy integer or a ``SeedSequence``, whose
+    spawn key they extend; ``None`` counts as 0), so repeated calls reproduce
+    the same winner.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     cfg = config if config is not None else LeidenConfig()
     if seeds is None:
-        base = cfg.seed if isinstance(cfg.seed, int) else 0
-        seeds = [np.random.SeedSequence(entropy=base, spawn_key=(i,)) for i in range(runs)]
+        if isinstance(cfg.seed, np.random.SeedSequence):
+            entropy, key = cfg.seed.entropy, cfg.seed.spawn_key
+        else:
+            entropy, key = (0 if cfg.seed is None else int(cfg.seed)), ()
+        seeds = [np.random.SeedSequence(entropy=entropy, spawn_key=key + (i,))
+                 for i in range(runs)]
     else:
         seeds = list(seeds)
         if len(seeds) != runs:

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from comdet.graph import Graph, Partition, connected_components
-from comdet.leiden import LeidenConfig, best_of_runs, leiden
+from comdet.graph import Graph, Partition, canonical_labels, connected_components
+from comdet.leiden import LeidenConfig, _aggregate, _LevelGraph, best_of_runs, leiden
 from comdet.metrics import modularity
+from comdet.refine import RefineConfig, refine_labels
 
 from conftest import all_partitions, random_connected_graph, random_graph
 
@@ -151,3 +152,77 @@ def test_parallel_runs_match_sequential():
     par = best_of_runs(g, 4, lambda p: modularity(g, p), config=LeidenConfig(seed=5),
                        parallel=2)
     assert seq == par
+
+
+def test_seeded_outputs_are_pinned():
+    """Literal outputs, so a refactor that changes seeded results fails here."""
+    g = random_graph(np.random.default_rng(2024), 60, 0.08)
+    assert leiden(g, LeidenConfig(seed=0)).assignment.tolist() == [
+        0, 1, 2, 3, 3, 3, 0, 0, 4, 3, 1, 1, 2, 5, 4, 1, 3, 4, 4, 0, 4, 2, 2, 3, 1, 3, 1, 1, 2, 0,
+        5, 3, 3, 3, 4, 0, 4, 0, 1, 0, 4, 5, 0, 1, 1, 0, 1, 1, 1, 0, 3, 0, 5, 2, 5, 5, 3, 2, 5, 1]
+    assert leiden(g, LeidenConfig(seed=7)).assignment.tolist() == [
+        0, 1, 2, 3, 3, 3, 0, 4, 5, 0, 6, 1, 2, 6, 5, 1, 0, 5, 3, 4, 5, 2, 2, 7, 1, 0, 4, 1, 2, 0,
+        6, 7, 7, 3, 5, 0, 5, 4, 6, 0, 5, 3, 0, 1, 6, 0, 1, 1, 6, 0, 7, 0, 7, 2, 7, 6, 3, 5, 7, 2]
+    labels = Partition(np.arange(60) % 3)
+    refined = refine_labels(g, labels, RefineConfig(seed=3, leiden_runs=3))
+    assert refined.assignment.tolist() == [
+        0, 5, 9, 0, 5, 9, 0, 5, 10, 0, 5, 11, 0, 6, 11, 0, 6, 11, 1, 5, 11, 0, 5, 9, 1, 6, 9, 0,
+        5, 12, 2, 6, 9, 0, 7, 9, 0, 5, 13, 0, 8, 11, 0, 5, 9, 0, 5, 9, 0, 5, 9, 0, 6, 9, 3, 6, 9,
+        4, 6, 9]
+
+
+def test_aggregate_matches_dense_contraction():
+    """Two levels of contraction against dense P^T A P on random graphs."""
+    rng = np.random.default_rng(500)
+    for trial in range(30):
+        n = int(rng.integers(2, 70))
+        g = random_graph(rng, n, float(rng.uniform(0.02, 0.3)))
+        adj = np.zeros((n, n), dtype=np.int64)
+        adj[g.edge_u, g.edge_v] = 1
+        adj += adj.T
+        lg = _LevelGraph.from_graph(g)
+        member = np.eye(n, dtype=np.int64)  # original node -> current level node
+        for level in range(2):
+            comm = rng.integers(0, max(1, lg.n // 3), lg.n)
+            ref = canonical_labels(comm * lg.n + rng.integers(0, 2, lg.n))
+            new_lg, new_comm = _aggregate(lg, ref, comm.tolist())
+            member = member @ np.eye(int(ref.max()) + 1, dtype=np.int64)[ref]
+            contracted = member.T @ adj @ member
+            np.fill_diagonal(contracted, 0)
+            src, dst = np.nonzero(contracted)
+            assert new_lg.n == member.shape[1]
+            assert new_lg.src.tolist() == src.tolist()
+            assert new_lg.dst.tolist() == dst.tolist()
+            assert new_lg.w.tolist() == contracted[src, dst].tolist()
+            assert list(new_lg.strength) == (member.T @ g.degrees).tolist()
+            assert sum(new_lg.strength) == new_lg.two_m == 2 * g.m
+            for v in range(new_lg.n):
+                row = np.flatnonzero(contracted[v])
+                assert new_lg.nbrs[v] == row.tolist()
+                assert new_lg.ws[v] == contracted[v, row].tolist()
+            assert [new_comm[r] for r in ref.tolist()] == comm.tolist()
+            lg = new_lg
+
+
+def test_best_of_runs_honours_numpy_and_seed_sequence_seeds():
+    g = random_graph(np.random.default_rng(40), 60, 0.08)
+
+    def pick(seed):
+        return best_of_runs(g, 3, lambda p: modularity(g, p), config=LeidenConfig(seed=seed))
+
+    five = pick(5)
+    assert five != pick(0)
+    assert pick(np.int64(5)) == five
+    assert pick(np.random.SeedSequence(5)) == five  # spawn keys (i,) under entropy 5
+    assert pick(None) == pick(0)
+
+
+@pytest.mark.parametrize("kwargs, value", [
+    ({"max_passes": 0}, "0"),
+    ({"max_passes": -3}, "-3"),
+    ({"theta": 0.0}, "0.0"),
+    ({"theta": -1.0}, "-1.0"),
+])
+def test_leiden_config_rejects_invalid_values(kwargs, value):
+    with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be .* got {value}"):
+        LeidenConfig(**kwargs)
