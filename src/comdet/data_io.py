@@ -10,11 +10,11 @@ with it exactly, and any mismatch is a hard error naming the offenders.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import Graph, Partition, canonical_labels
 
@@ -39,10 +39,14 @@ class DataError(Exception):
 
 @dataclass
 class DatasetBundle:
-    """A network, its node attributes, and its human-labeled communities."""
+    """A network, its node attributes, and its human-labeled communities.
+
+    ``attributes`` is a dense array or a scipy sparse matrix (attribute-free
+    bundles carry their adjacency rows as CSR).
+    """
 
     graph: Graph
-    attributes: np.ndarray
+    attributes: np.ndarray | sp.csr_matrix
     labels: Partition
     node_ids: list[str]
     name: str = "unnamed"
@@ -58,7 +62,8 @@ class DatasetBundle:
             raise DataError(f"labels cover {self.labels.n} nodes, graph has {n}")
         if len(self.node_ids) != n:
             raise DataError(f"{len(self.node_ids)} node ids for {n} nodes")
-        if not np.all(np.isfinite(self.attributes)):
+        values = self.attributes.data if sp.issparse(self.attributes) else self.attributes
+        if not np.all(np.isfinite(values)):
             raise DataError("attribute matrix contains non-finite values")
 
     @property
@@ -259,15 +264,9 @@ def load_partition(path, node_ids: list[str]) -> Partition:
     return Partition(codes)
 
 
-def adjacency_as_features(g: Graph) -> np.ndarray:
-    """Dense 0/1 adjacency rows for attribute-free runs."""
-    if g.n > 5000:
-        warnings.warn(f"materializing a dense {g.n}x{g.n} adjacency as features",
-                      stacklevel=2)
-    x = np.zeros((g.n, g.n))
-    x[g.edge_u, g.edge_v] = 1.0
-    x[g.edge_v, g.edge_u] = 1.0
-    return x
+def adjacency_as_features(g: Graph) -> sp.csr_matrix:
+    """Sparse 0/1 adjacency rows (CSR, n×n) for attribute-free runs."""
+    return sp.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
 
 
 @dataclass(frozen=True)
@@ -417,8 +416,10 @@ def write_bundle(bundle: DatasetBundle, out_dir) -> dict[str, Path]:
     }
     _write_text(paths["edges"], "".join(
         f"{ids[u]}\t{ids[v]}\n" for u, v in zip(g.edge_u, g.edge_v)))
+    x = bundle.attributes
+    row = (lambda i: x[i].toarray()[0]) if sp.issparse(x) else (lambda i: x[i])
     _write_text(paths["attrs"], "".join(
-        ids[i] + "," + ",".join(_format_value(v) for v in bundle.attributes[i]) + "\n"
+        ids[i] + "," + ",".join(_format_value(v) for v in row(i)) + "\n"
         for i in range(bundle.n)))
     _write_text(paths["labels"], "".join(
         f"{ids[i]}\t{bundle.labels.assignment[i]}\n" for i in range(bundle.n)))

@@ -187,13 +187,13 @@ def run(bundle: DatasetBundle, cfg: RunConfig | None = None) -> RunResult:
 
     model = GcnModel(g, in_dim=bundle.t, hidden_dims=cfg.hidden_dims,
                      seed=_derived_seed(cfg.seed, 2))
-    x = np.asarray(bundle.attributes, dtype=np.float64)
     _, trace = staged("train", lambda: train(
-        model, x, provider, epochs=cfg.epochs, learning_rate=cfg.learning_rate))
+        model, bundle.attributes, provider, epochs=cfg.epochs,
+        learning_rate=cfg.learning_rate))
 
     # stage 4: cluster the final embedding
     def cluster():
-        xe, _ = model.forward(x)
+        xe, _ = model.forward(model.propagate(bundle.attributes))
         cs = birch_cluster(xe, cfg.birch)
         if cfg.mode is RunMode.MODIFIED_SPLIT:
             cs = split_into_components(g, cs)

@@ -25,7 +25,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
 import numpy as np
 import pytest
 
-from comdet.graph import Graph, Partition
+from comdet.graph import Graph, Partition, canonical_labels
 
 
 def pytest_configure(config: pytest.Config) -> None:
@@ -115,3 +115,45 @@ def pair_set(p: Partition) -> set[tuple[int, int]]:
     for members in p.communities():
         out.update(itertools.combinations(sorted(int(x) for x in members), 2))
     return out
+
+
+def merge_step(g: Graph, current: Partition, candidates=None) -> Partition:
+    """Merge the one pair of communities whose merged partition scores highest.
+
+    Considers every candidate pair (including pairs without connecting edges;
+    their gain is negative but still comparable), holding all other
+    communities fixed. Ties go to the lexicographically smallest (i, j).
+    """
+    if candidates is None:
+        cand = list(range(current.k))
+    else:
+        cand = sorted(set(int(c) for c in candidates))
+        if any(c < 0 or c >= current.k for c in cand):
+            raise ValueError("candidate community id out of range")
+    if len(cand) < 2:
+        raise ValueError("need at least two communities to merge")
+    if current.n != g.n:
+        raise ValueError("partition size does not match graph")
+
+    a = current.assignment
+    deg = np.bincount(a, weights=g.degrees, minlength=current.k).astype(np.int64)
+    pair_e: dict[tuple[int, int], int] = {}
+    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+        cu, cv = int(a[u]), int(a[v])
+        if cu != cv:
+            key = (cu, cv) if cu < cv else (cv, cu)
+            pair_e[key] = pair_e.get(key, 0) + 1
+
+    m = g.m
+    best_gain = None
+    best_pair = None
+    for x in range(len(cand)):
+        for y in range(x + 1, len(cand)):
+            i, j = cand[x], cand[y]
+            gain = 2 * m * pair_e.get((i, j), 0) - int(deg[i]) * int(deg[j])
+            if best_gain is None or gain > best_gain:
+                best_gain, best_pair = gain, (i, j)
+    i, j = best_pair
+    merged = a.copy()
+    merged[merged == j] = i
+    return Partition(canonical_labels(merged))

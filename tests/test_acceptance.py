@@ -33,10 +33,11 @@ from comdet.leiden import LeidenConfig, best_of_runs, leiden
 from comdet.loss import LossConfig, PairwiseTarget, total_loss
 from comdet.metrics import connectivity_score, modularity, nmi
 from comdet.pipeline import RunConfig, RunMode, run
-from comdet.refine import RefineConfig, merge_step, refine_labels
+from comdet.refine import RefineConfig, refine_labels
 
 from conftest import (
     all_partitions,
+    merge_step,
     modularity_double_sum,
     random_connected_graph,
     random_graph,
@@ -116,12 +117,12 @@ def test_criterion_02_end_to_end_gradients(capsys):
         cfg = LossConfig(mu=0.5)
         model = GcnModel(g, t, (5, 4, 3), seed=seed)
 
-        xe, cache = model.forward(x)
+        xe, cache = model.forward(model.propagate(x))
         _, d_xe = total_loss(target_m, target_r, xe, cfg)
         grads = model.backward(cache, d_xe)
 
         def value() -> float:
-            out, _ = model.forward(x)
+            out, _ = model.forward(model.propagate(x))
             return total_loss(target_m, target_r, out, cfg)[0]
 
         for li, w in enumerate(model.weights):

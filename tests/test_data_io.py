@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from comdet.data_io import (
     DataError,
@@ -134,29 +136,55 @@ def test_missing_attr_path_uses_adjacency_rows(tmp_path):
     l = _write(tmp_path, "l", "a u\nb v\nc u\n")
     bundle = load_dataset(e, None, l)
     assert bundle.t == 3
-    assert np.array_equal(bundle.attributes, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    assert np.array_equal(bundle.attributes.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     assert any("adjacency" in note for note in bundle.notes)
 
 
 def test_adjacency_as_features_examples():
-    tri = adjacency_as_features(Graph(3, [(0, 1), (1, 2), (0, 2)]))
+    tri = adjacency_as_features(Graph(3, [(0, 1), (1, 2), (0, 2)])).toarray()
     assert np.array_equal(tri, 1 - np.eye(3))
-    star = adjacency_as_features(Graph(4, [(0, 1), (0, 2), (0, 3)]))
+    star = adjacency_as_features(Graph(4, [(0, 1), (0, 2), (0, 3)])).toarray()
     assert star[0].sum() == 3
     assert np.array_equal(star, star.T)
 
     rng = np.random.default_rng(7)
     g = Graph(10, [(i, j) for i in range(10) for j in range(i + 1, 10)
                    if rng.random() < 0.3])
-    x = adjacency_as_features(g)
+    x = adjacency_as_features(g).toarray()
     for i in range(10):
         assert np.array_equal(np.flatnonzero(x[i]), g.neighbors(i))
 
 
-def test_adjacency_as_features_warns_when_large():
-    g = Graph(5001, [(0, 1)])
-    with pytest.warns(UserWarning, match="dense"):
-        adjacency_as_features(g)
+def test_attribute_free_load_stays_sparse(tmp_path):
+    # a dense 10000x10000 float64 adjacency would take 800 MB
+    rng = np.random.default_rng(13)
+    n = 10_000
+    u = rng.integers(0, n, size=30_000)
+    v = rng.integers(0, n, size=30_000)
+    e = _write(tmp_path, "e", "".join(f"n{a} n{b}\n" for a, b in zip(u, v)))
+    l = _write(tmp_path, "l", "".join(f"n{i} {i % 7}\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        bundle = load_dataset(e, None, l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert sp.issparse(bundle.attributes)
+    assert bundle.attributes.shape == (n, n)
+
+
+def test_sparse_attributes_validate_and_write_dense_rows(tmp_path):
+    e = _write(tmp_path, "e", "a b\nb c\n")
+    l = _write(tmp_path, "l", "a u\nb v\nc u\n")
+    bundle = load_dataset(e, None, l)
+    paths = write_bundle(bundle, tmp_path / "out")
+    again = load_dataset(paths["edges"], paths["attrs"], paths["labels"])
+    assert np.array_equal(again.attributes, bundle.attributes.toarray())
+
+    bad = sp.csr_matrix(np.array([[0.0, np.nan], [1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(DataError, match="non-finite"):
+        DatasetBundle(bundle.graph, bad, bundle.labels, bundle.node_ids)
 
 
 def test_synthetic_cliques_labels_equal_components():

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
+from comdet.data_io import SyntheticSpec, generate_synthetic
 from comdet.gcn import (
     EPS,
     SELU_ALPHA,
@@ -80,7 +83,7 @@ def test_forward_scalar_chain():
     w0, w1, w2 = 0.7, -1.3, 0.45
     model.weights = [np.array([[w0]]), np.array([[w1]]), np.array([[w2]])]
     x = np.array([[2.0], [-0.5]])
-    xe, cache = model.forward(x)
+    xe, cache = model.forward(model.propagate(x))
 
     def sel(v: float) -> float:
         return SELU_LAMBDA * v if v >= 0 else SELU_LAMBDA * SELU_ALPHA * math.expm1(v)
@@ -102,7 +105,7 @@ def test_uniform_rows_embed_to_equal_components():
     g = Graph(2, [(0, 1)])
     model = GcnModel(g, in_dim=2, hidden_dims=(2, 2, 2), seed=0)
     model.weights = [np.ones((2, 2)) for _ in range(3)]
-    xe, _ = model.forward(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    xe, _ = model.forward(model.propagate(np.array([[1.0, 2.0], [3.0, 4.0]])))
     assert np.allclose(xe, 1.0 / math.sqrt(2.0), atol=1e-12)
 
 
@@ -110,7 +113,8 @@ def test_zero_weights_give_zero_embedding_and_zero_grads():
     g = Graph(3, [(0, 1), (1, 2)])
     model = GcnModel(g, in_dim=2, hidden_dims=(3, 3, 2), seed=0)
     model.weights = [np.zeros_like(w) for w in model.weights]
-    xe, cache = model.forward(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    xe, cache = model.forward(
+        model.propagate(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])))
     assert np.all(xe == 0.0)
     grads = model.backward(cache, np.ones_like(xe))
     assert all(np.all(gr == 0.0) for gr in grads)
@@ -123,7 +127,7 @@ def test_embedding_geometry_invariants():
         g = random_graph(rng, n, 0.3)
         model = GcnModel(g, in_dim=4, hidden_dims=(6, 5, 4),
                          seed=int(rng.integers(1 << 31)))
-        xe, _ = model.forward(rng.normal(size=(n, 4)))
+        xe, _ = model.forward(model.propagate(rng.normal(size=(n, 4))))
         assert np.all(xe >= 0.0)
         norms = np.linalg.norm(xe, axis=1)
         degenerate = norms == 0.0
@@ -147,11 +151,11 @@ def test_gradients_match_finite_differences():
 
         def loss_at(weights: list[np.ndarray]) -> float:
             saved, model.weights = model.weights, weights
-            xe, _ = model.forward(x)
+            xe, _ = model.forward(model.propagate(x))
             model.weights = saved
             return total_loss(tm, tr, xe, cfg)[0]
 
-        xe, cache = model.forward(x)
+        xe, cache = model.forward(model.propagate(x))
         _, d_xe = total_loss(tm, tr, xe, cfg)
         grads = model.backward(cache, d_xe)
         for li, w in enumerate(model.weights):
@@ -166,6 +170,83 @@ def test_gradients_match_finite_differences():
                 worst = max(worst, rel)
     assert worst <= 1e-4
 
+
+
+def _factored(ax0: LinearOperator) -> bool:
+    """True for the product Â·X of two operators, False for one wrapped array."""
+    return isinstance(ax0.args[0], LinearOperator)
+
+
+def _rel(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
+
+
+def test_factored_first_layer_matches_dense_reference():
+    rng = np.random.default_rng(67)
+    cfg = LossConfig(mu=0.7)
+    # a smaller step than the dense test's: at 1e-5 one entry's central
+    # difference is off by 2e-4 from curvature alone
+    h = 1e-6
+    worst_fd = 0.0
+    for trial in range(24):
+        n = int(rng.integers(12, 40))
+        t = int(rng.integers(150, 300))
+        g = random_connected_graph(rng, n, 0.1)
+        x = (rng.random((n, t)) < 0.02).astype(np.float64)
+        model = GcnModel(g, in_dim=t, hidden_dims=(6, 5, 4),
+                         seed=int(rng.integers(1 << 31)))
+        tm = PairwiseTarget(random_partition(rng, n, int(rng.integers(1, n + 1))))
+        tr = PairwiseTarget(random_partition(rng, n, int(rng.integers(1, n + 1))))
+        ax0 = model.propagate(x)
+        assert _factored(ax0)
+        assert _factored(model.propagate(sp.csr_matrix(x)))
+
+        # dense reference: the materialized product (Â·X)·W
+        xe_ref, cache_ref = model.forward(aslinearoperator(model.a_norm @ x))
+        xe, cache = model.forward(ax0)
+        assert _rel(xe, xe_ref) <= 1e-12
+        _, d_xe = total_loss(tm, tr, xe_ref, cfg)
+        grads_ref = model.backward(cache_ref, d_xe)
+        grads = model.backward(cache, d_xe)
+        assert all(_rel(a, b) <= 1e-12 for a, b in zip(grads, grads_ref))
+
+        def loss_at(weights: list[np.ndarray]) -> float:
+            saved, model.weights = model.weights, weights
+            out, _ = model.forward(ax0)
+            model.weights = saved
+            return total_loss(tm, tr, out, cfg)[0]
+
+        # central differences on the factored form, including a first-layer
+        # weight whose attribute column is nonzero somewhere
+        col = int(np.flatnonzero(x.any(axis=0))[0])
+        for li, w in enumerate(model.weights):
+            picks = [(0, 0), (w.shape[0] - 1, w.shape[1] - 1)]
+            if li == 0:
+                picks.append((col, w.shape[1] // 2))
+            for idx in picks:
+                wp = [v.copy() for v in model.weights]
+                wm = [v.copy() for v in model.weights]
+                wp[li][idx] += h
+                wm[li][idx] -= h
+                fd = (loss_at(wp) - loss_at(wm)) / (2 * h)
+                worst_fd = max(worst_fd, abs(grads[li][idx] - fd) / max(abs(fd), 1e-6))
+    assert worst_fd <= 1e-4
+
+
+def test_propagate_keeps_dense_attributes_dense():
+    bundle = generate_synthetic(SyntheticSpec(seed=42))
+    model = GcnModel(bundle.graph, in_dim=bundle.t, seed=0)
+    ax0 = model.propagate(bundle.attributes)
+    assert not _factored(ax0)
+    assert np.array_equal(ax0 @ model.weights[0],
+                          (model.a_norm @ bundle.attributes) @ model.weights[0])
+
+    rng = np.random.default_rng(71)
+    g = random_connected_graph(rng, 50, 0.1)
+    x = (rng.random((50, 200)) < 0.5).astype(np.float64)
+    model = GcnModel(g, in_dim=200, seed=0)
+    assert not _factored(model.propagate(x))
+    assert not _factored(model.propagate(sp.csr_matrix(x)))
 
 def test_train_reduces_loss():
     rng = np.random.default_rng(53)
@@ -266,7 +347,7 @@ def test_checkpoint_roundtrip(tmp_path):
     model = GcnModel(g, in_dim=3, hidden_dims=(4, 3, 2), seed=17)
     model.weights[1][0, 0] = 0.123456  # ensure we persist mutated weights
     x = rng.normal(size=(9, 3))
-    before, _ = model.forward(x)
+    before, _ = model.forward(model.propagate(x))
 
     path = tmp_path / "model.bin"
     save_checkpoint(model, path)
@@ -275,7 +356,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.in_dim == 3
     assert loaded.hidden_dims == (4, 3, 2)
     assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, model.weights))
-    after, _ = loaded.forward(x)
+    after, _ = loaded.forward(loaded.propagate(x))
     assert np.array_equal(before, after)
 
 
@@ -302,13 +383,21 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(padded, g)
 
 
-def test_forward_validates_attribute_shape():
+def test_propagate_validates_attribute_shape():
     g = Graph(3, [(0, 1), (1, 2)])
     model = GcnModel(g, in_dim=2, hidden_dims=(2, 2, 2), seed=0)
     with pytest.raises(ValueError):
-        model.forward(np.zeros((3, 5)))
+        model.propagate(np.zeros((3, 5)))
     with pytest.raises(ValueError):
-        model.forward(np.zeros((2, 2)))
+        model.propagate(np.zeros((2, 2)))
+
+
+def test_forward_rejects_raw_attributes():
+    g = Graph(3, [(0, 1), (1, 2)])
+    model = GcnModel(g, in_dim=2, hidden_dims=(2, 2, 2), seed=0)
+    for raw in (np.ones((3, 2)), sp.csr_matrix(np.ones((3, 2)))):
+        with pytest.raises(TypeError, match="propagate"):
+            model.forward(raw)
 
 
 def test_constructor_validation():

@@ -6,9 +6,15 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from comdet.birch import BirchConfig
-from comdet.data_io import DatasetBundle, SyntheticSpec, generate_synthetic
+from comdet.data_io import (
+    DatasetBundle,
+    SyntheticSpec,
+    adjacency_as_features,
+    generate_synthetic,
+)
 from comdet.graph import Graph, Partition
 from comdet.metrics import modularity, nmi
 from comdet.pipeline import (
@@ -160,6 +166,20 @@ def test_trivial_label_fallback_scores_by_modularity():
     # the target must now be a genuine modularity optimum, not label-driven
     assert modularity(flat.graph, res.modularity_target) > 0.2
 
+
+
+def test_sparse_attributes_run_like_their_dense_array():
+    # attribute-free bundles carry CSR adjacency rows; fed the same rows as a
+    # dense array, the run takes the same factored first layer, bit for bit
+    bundle = generate_synthetic(
+        SyntheticSpec(n=240, k=3, p_in=0.05, p_out=0.005, t=6, seed=5))
+    x = adjacency_as_features(bundle.graph)
+    runs = [run(DatasetBundle(bundle.graph, feats, bundle.labels, bundle.node_ids,
+                              name="adjacency"), _small_cfg(epochs=30))
+            for feats in (x, x.toarray())]
+    assert isinstance(runs[0].model.propagate(x).args[0], LinearOperator)
+    assert runs[0].metrics == runs[1].metrics
+    assert runs[0].partition == runs[1].partition
 
 def test_stage_failures_name_the_stage(monkeypatch):
     bundle = generate_synthetic(

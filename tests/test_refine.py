@@ -17,9 +17,9 @@ from comdet.graph import (
 )
 from comdet.leiden import LeidenConfig, best_of_runs
 from comdet.metrics import modularity
-from comdet.refine import RefineConfig, ThresholdRule, merge_step, refine_labels
+from comdet.refine import RefineConfig, ThresholdRule, refine_labels
 
-from conftest import pair_set, random_graph
+from conftest import merge_step, pair_set, random_graph
 
 
 def _two_blocks_graph(rng, sizes, p_in, p_between=0.0):
