@@ -124,6 +124,56 @@ def test_sparse_triplet_attributes(tmp_path):
                           [[1.5, 0, 0, 2.0], [0, 4.0, 0, 0]])
 
 
+def _attr_error(tmp_path, attrs, labels="a u\nb v\n"):
+    e = _write(tmp_path, "e", "a b\n")
+    x = _write(tmp_path, "x", attrs)
+    l = _write(tmp_path, "l", labels)
+    with pytest.raises(DataError) as info:
+        load_dataset(e, x, l)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("attrs, needle", [
+    ("a,1,2\nb,3,oops\n",
+     ":2: bad attribute value (could not convert string to float: 'oops')"),
+    ("a,1,2\nb,3\n", ":2: row has 1 values, expected 2"),
+    ("a,1\nb,2\na,3\n", "duplicate attribute row for id 'a'"),
+    ("a,1\nb,2\nghost,3\nspook,4\n",
+     "attribute ids missing from the label file: 'ghost', 'spook'"),
+    ("a 0 1\nghost 0 2\nb 0 3\n", "attribute ids missing from the label file: 'ghost'"),
+    ("a 0 1\nb x 2\n", "bad triplet ['b', 'x', '2'] (invalid literal for int()"),
+    ("a 0 1\nb 0 y\n", "bad triplet ['b', '0', 'y'] (could not convert string to float"),
+    ("a 0 1\nb -1 2\n", "negative attribute index in ['b', '-1', '2']"),
+    ("a 0 1\nb 0\n", "sparse attribute lines must be 'id index value', got ['b', '0']"),
+    ("", "no attribute entries found"),
+    ("# nothing here\n\n", "no attribute entries found"),
+])
+def test_attribute_errors_name_the_offence(tmp_path, attrs, needle):
+    assert needle in _attr_error(tmp_path, attrs)
+
+
+@pytest.mark.parametrize("edges, labels, needle", [
+    ("a b\n", "a u\nb\n", "label lines must be 'id label', got ['b']"),
+    ("a b\nb a c\n", "a u\nb v\n", "edge lines must be 'u v', got ['b', 'a', 'c']"),
+    ("a b\nzzz a\nb yyy\nzzz b\n", "a u\nb v\n",
+     "edge endpoints missing from the label file: 'zzz', 'yyy'"),
+])
+def test_label_and_edge_errors_name_the_offence(tmp_path, edges, labels, needle):
+    e = _write(tmp_path, "e", edges)
+    x = _write(tmp_path, "x", "a,1\nb,2\n")
+    l = _write(tmp_path, "l", labels)
+    with pytest.raises(DataError) as info:
+        load_dataset(e, x, l)
+    assert needle in str(info.value)
+
+
+def test_repeated_triplets_keep_the_last_value(tmp_path):
+    e = _write(tmp_path, "e", "a b\n")
+    x = _write(tmp_path, "x", "a 0 1\nb 1 2\na 0 5\nb 1 0\n")
+    l = _write(tmp_path, "l", "a u\nb v\n")
+    assert np.array_equal(load_dataset(e, x, l).attributes, [[5, 0], [0, 0]])
+
+
 def test_comment_and_blank_lines_ignored(tmp_path):
     e = _write(tmp_path, "e", "# comment\n\na b\n")
     x = _write(tmp_path, "x", "a,1\nb,2\n")
@@ -309,6 +359,12 @@ def test_load_partition_errors(tmp_path):
         load_partition(_write(tmp_path, "p2", "a 0\nb 1\nc 0\nghost 1\n"), ids)
     with pytest.raises(DataError, match="duplicate"):
         load_partition(_write(tmp_path, "p3", "a 0\na 1\nb 0\nc 0\n"), ids)
+    with pytest.raises(DataError) as info:
+        load_partition(_write(tmp_path, "p4", "a 0\nb\nc 0\n"), ids)
+    assert "assignment lines must be 'id community', got ['b']" in str(info.value)
+    with pytest.raises(DataError) as info:
+        load_partition(_write(tmp_path, "p5", "a 0\nb 1\nc 0\nghost 1\n"), ids)
+    assert "assignment ids missing from the label file: 'ghost'" in str(info.value)
 
 
 def test_bundle_consistency_enforced():
