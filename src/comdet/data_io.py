@@ -75,19 +75,25 @@ class DatasetBundle:
         return int(self.attributes.shape[1])
 
 
-def _read_lines(path) -> list[list[str]]:
-    p = Path(path)
+def _read_lines(path) -> list[tuple[int, str]]:
+    """``(line number, stripped text)`` of every data line: blank lines and
+    ``#`` comments are skipped."""
     try:
-        text = p.read_text()
+        text = Path(path).read_text()
     except OSError as exc:
-        raise DataError(f"cannot read {p}: {exc}") from exc
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append(stripped.split())
-    return rows
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return [(lineno, stripped) for lineno, line in enumerate(text.splitlines(), 1)
+            if (stripped := line.strip()) and not stripped.startswith("#")]
+
+
+def _fields(path, lines, kind: str, shape: str):
+    """Whitespace-split ``lines`` of ``path``, each holding the fields of ``shape``."""
+    width = len(shape.split())
+    for lineno, text in lines:
+        row = text.split()
+        if len(row) != width:
+            raise DataError(f"{path}:{lineno}: {kind} lines must be {shape!r}, got {row!r}")
+        yield lineno, row
 
 
 def _listed(items) -> str:
@@ -97,40 +103,37 @@ def _listed(items) -> str:
     return shown + (f" (+{extra} more)" if extra > 0 else "")
 
 
+def _check_known(path, kind: str, unknown: list[str]) -> None:
+    if unknown:
+        raise DataError(
+            f"{path}: {kind} missing from the label file: {_listed(dict.fromkeys(unknown))}")
+
+
 def _load_labels(path) -> tuple[list[str], dict[str, int], np.ndarray]:
     """Node universe and dense label codes, both in file order."""
-    node_ids: list[str] = []
     index: dict[str, int] = {}
     label_codes: dict[str, int] = {}
     codes: list[int] = []
-    for row in _read_lines(path):
-        if len(row) != 2:
-            raise DataError(f"{path}: label lines must be 'id label', got {row!r}")
-        node, label = row
+    for lineno, (node, label) in _fields(path, _read_lines(path), "label", "id label"):
         if node in index:
-            raise DataError(f"{path}: duplicate node id {node!r}")
-        index[node] = len(node_ids)
-        node_ids.append(node)
+            raise DataError(f"{path}:{lineno}: duplicate node id {node!r}")
+        index[node] = len(index)
         codes.append(label_codes.setdefault(label, len(label_codes)))
-    if not node_ids:
+    if not index:
         raise DataError(f"{path}: no labeled nodes")
-    return node_ids, index, np.array(codes, dtype=np.int64)
+    return list(index), index, np.array(codes, dtype=np.int64)
 
 
 def _load_edges(path, index: dict[str, int], n: int) -> tuple[Graph, list[str]]:
     pairs: list[tuple[int, int]] = []
     unknown: list[str] = []
-    for row in _read_lines(path):
-        if len(row) != 2:
-            raise DataError(f"{path}: edge lines must be 'u v', got {row!r}")
+    for _, row in _fields(path, _read_lines(path), "edge", "u v"):
         miss = [tok for tok in row if tok not in index]
         if miss:
             unknown.extend(miss)
             continue
         pairs.append((index[row[0]], index[row[1]]))
-    if unknown:
-        raise DataError(
-            f"{path}: edge endpoints missing from the label file: {_listed(dict.fromkeys(unknown))}")
+    _check_known(path, "edge endpoints", unknown)
     g = Graph(n, pairs)
     notes = []
     if g.dropped_self_loops:
@@ -141,86 +144,59 @@ def _load_edges(path, index: dict[str, int], n: int) -> tuple[Graph, list[str]]:
 
 
 def _load_attributes(path, index: dict[str, int], n: int) -> np.ndarray:
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = _read_lines(path)
+    seen = np.zeros(n, dtype=bool)
+    unknown: list[str] = []
     # dense CSV rows carry commas; sparse triplet rows are whitespace-only
-    dense = "," in raw
-    seen: set[int] = set()
-    if dense:
-        width = None
-        rows: dict[int, np.ndarray] = {}
-        unknown: list[str] = []
-        for lineno, line in enumerate(raw.splitlines(), 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            cells = [c.strip() for c in stripped.split(",")]
-            node = cells[0]
-            if node not in index:
+    if any("," in text for _, text in lines):
+        x = None
+        for lineno, text in lines:
+            head, comma, rest = text.partition(",")
+            node = head.strip()
+            i = index.get(node)
+            if i is None:
                 unknown.append(node)
                 continue
             try:
-                values = np.array([float(c) for c in cells[1:]])
+                values = np.array(rest.split(",") if comma else [], dtype=np.float64)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad attribute value ({exc})") from exc
-            if width is None:
-                width = values.size
-            elif values.size != width:
+            if x is None:
+                x = np.zeros((n, values.size))
+            elif values.size != x.shape[1]:
                 raise DataError(
-                    f"{path}:{lineno}: row has {values.size} values, expected {width}")
-            i = index[node]
-            if i in seen:
-                raise DataError(f"{path}: duplicate attribute row for id {node!r}")
-            seen.add(i)
-            rows[i] = values
-        if unknown:
-            raise DataError(
-                f"{path}: attribute ids missing from the label file: "
-                f"{_listed(dict.fromkeys(unknown))}")
-        if width is None or width == 0:
-            raise DataError(f"{path}: no attribute columns found")
-        x = np.zeros((n, width))
-        for i, values in rows.items():
+                    f"{path}:{lineno}: row has {values.size} values, expected {x.shape[1]}")
+            if seen[i]:
+                raise DataError(f"{path}:{lineno}: duplicate attribute row for id {node!r}")
+            seen[i] = True
             x[i] = values
+        # past this check some known row carried a comma, so x has >= 1 column
+        _check_known(path, "attribute ids", unknown)
     else:
         triplets: list[tuple[int, int, float]] = []
-        unknown = []
-        t = 0
-        for row in _read_lines(path):
-            if len(row) != 3:
-                raise DataError(
-                    f"{path}: sparse attribute lines must be 'id index value', got {row!r}")
-            node, idx_s, val_s = row
-            if node not in index:
-                unknown.append(node)
+        for lineno, row in _fields(path, lines, "sparse attribute", "id index value"):
+            i = index.get(row[0])
+            if i is None:
+                unknown.append(row[0])
                 continue
             try:
-                j = int(idx_s)
-                v = float(val_s)
+                j, v = int(row[1]), float(row[2])
             except ValueError as exc:
-                raise DataError(f"{path}: bad triplet {row!r} ({exc})") from exc
+                raise DataError(f"{path}:{lineno}: bad triplet {row!r} ({exc})") from exc
             if j < 0:
-                raise DataError(f"{path}: negative attribute index in {row!r}")
-            i = index[node]
-            seen.add(i)
+                raise DataError(f"{path}:{lineno}: negative attribute index in {row!r}")
+            seen[i] = True
             triplets.append((i, j, v))
-            t = max(t, j + 1)
-        if unknown:
-            raise DataError(
-                f"{path}: attribute ids missing from the label file: "
-                f"{_listed(dict.fromkeys(unknown))}")
+        _check_known(path, "attribute ids", unknown)
         if not triplets:
             raise DataError(f"{path}: no attribute entries found")
-        x = np.zeros((n, t))
+        x = np.zeros((n, max(j for _, j, _ in triplets) + 1))
         for i, j, v in triplets:
             x[i, j] = v
-    missing = [i for i in range(n) if i not in seen]
-    if missing:
-        raise DataError(
-            f"{path}: nodes without any attribute row: "
-            f"{_listed(str(i) for i in missing)}")
+    if not seen.all():
+        ids = list(index)
+        raise DataError(f"{path}: nodes without any attribute row: "
+                        f"{_listed(ids[i] for i in np.flatnonzero(~seen))}")
     if not np.all(np.isfinite(x)):
         raise DataError(f"{path}: attribute matrix contains non-finite values")
     return x
@@ -245,19 +221,14 @@ def load_partition(path, node_ids: list[str]) -> Partition:
     codes = np.full(len(node_ids), -1, dtype=np.int64)
     label_codes: dict[str, int] = {}
     unknown: list[str] = []
-    for row in _read_lines(path):
-        if len(row) != 2:
-            raise DataError(f"{path}: assignment lines must be 'id community', got {row!r}")
-        node, label = row
+    for lineno, (node, label) in _fields(path, _read_lines(path), "assignment", "id community"):
         if node not in index:
             unknown.append(node)
             continue
         if codes[index[node]] != -1:
-            raise DataError(f"{path}: duplicate assignment for id {node!r}")
+            raise DataError(f"{path}:{lineno}: duplicate assignment for id {node!r}")
         codes[index[node]] = label_codes.setdefault(label, len(label_codes))
-    if unknown:
-        raise DataError(
-            f"{path}: assignment ids missing from the label file: {_listed(dict.fromkeys(unknown))}")
+    _check_known(path, "assignment ids", unknown)
     if (codes == -1).any():
         missing = [node_ids[i] for i in np.flatnonzero(codes == -1)]
         raise DataError(f"{path}: nodes without an assignment: {_listed(missing)}")
@@ -440,24 +411,23 @@ def load_cora_content(content_path, cites_path) -> tuple[Path, Path, Path]:
     content = Path(content_path)
     cites = Path(cites_path)
     out = content.parent
-    ids: list[str] = []
+    known: set[str] = set()
     attr_lines: list[str] = []
     label_lines: list[str] = []
-    for row in _read_lines(content):
+    for lineno, text in _read_lines(content):
+        row = text.split()
         if len(row) < 3:
-            raise DataError(f"{content}: content lines need id, features, class")
+            raise DataError(f"{content}:{lineno}: content lines need id, features, class")
         node, *feats, label = row
-        ids.append(node)
-        attr_lines.append(node + "," + ",".join(
-            _format_value(float(f)) for f in feats) + "\n")
+        try:
+            values = ",".join(_format_value(float(f)) for f in feats)
+        except ValueError as exc:
+            raise DataError(f"{content}:{lineno}: bad feature value ({exc})") from exc
+        known.add(node)
+        attr_lines.append(f"{node},{values}\n")
         label_lines.append(f"{node}\t{label}\n")
-    known = set(ids)
-    edge_lines = []
-    for row in _read_lines(cites):
-        if len(row) != 2:
-            raise DataError(f"{cites}: cite lines must be 'cited citing'")
-        if row[0] in known and row[1] in known:
-            edge_lines.append(f"{row[0]}\t{row[1]}\n")
+    cite_rows = _fields(cites, _read_lines(cites), "cite", "cited citing")
+    edge_lines = [f"{u}\t{v}\n" for _, (u, v) in cite_rows if u in known and v in known]
     paths = (out / "edges.tsv", out / "attrs.csv", out / "labels.tsv")
     _write_text(paths[0], "".join(edge_lines))
     _write_text(paths[1], "".join(attr_lines))

@@ -256,30 +256,25 @@ def _run_one(args) -> Partition:
     return leiden(g, cfg)
 
 
-def best_of_runs(g: Graph, runs: int, score, seeds=None,
-                 config: LeidenConfig | None = None, parallel: int = 1) -> Partition:
+def best_of_runs(g: Graph, runs: int, score, config: LeidenConfig | None = None,
+                 parallel: int = 1) -> Partition:
     """Best scoring partition over ``runs`` seeded Leiden runs.
 
     ``score`` maps a partition to a real number; ties go to the lowest run
-    index. When ``seeds`` is omitted they are spawned deterministically from
-    the config seed (an integer, a numpy integer or a ``SeedSequence``, whose
-    spawn key they extend; ``None`` counts as 0), so repeated calls reproduce
-    the same winner.
+    index. Run seeds are spawned deterministically from the config seed (an
+    integer, a numpy integer or a ``SeedSequence``, whose spawn key they
+    extend; ``None`` counts as 0), so repeated calls reproduce the same
+    winner.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     cfg = config if config is not None else LeidenConfig()
-    if seeds is None:
-        if isinstance(cfg.seed, np.random.SeedSequence):
-            entropy, key = cfg.seed.entropy, cfg.seed.spawn_key
-        else:
-            entropy, key = (0 if cfg.seed is None else int(cfg.seed)), ()
-        seeds = [np.random.SeedSequence(entropy=entropy, spawn_key=key + (i,))
-                 for i in range(runs)]
+    if isinstance(cfg.seed, np.random.SeedSequence):
+        entropy, key = cfg.seed.entropy, cfg.seed.spawn_key
     else:
-        seeds = list(seeds)
-        if len(seeds) != runs:
-            raise ValueError(f"expected {runs} seeds, got {len(seeds)}")
+        entropy, key = (0 if cfg.seed is None else int(cfg.seed)), ()
+    seeds = [np.random.SeedSequence(entropy=entropy, spawn_key=key + (i,))
+             for i in range(runs)]
     configs = [replace(cfg, seed=s) for s in seeds]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:

@@ -93,8 +93,7 @@ class RunConfig:
             "leiden": {"max_passes": self.leiden.max_passes,
                        "theta": self.leiden.theta},
             "refine": {"leiden_runs": self.refine.leiden_runs,
-                       "threshold_rule": str(self.refine.threshold_rule.value),
-                       "seed": self.refine.seed},
+                       "threshold_rule": str(self.refine.threshold_rule.value)},
             "epochs": self.epochs,
             "learning_rate": self.learning_rate,
             "hidden_dims": list(self.hidden_dims),
@@ -111,10 +110,13 @@ class RunResult:
     partition: Partition
     metrics: dict
     timings: dict
-    loss_trace: list[float]
     modularity_target: Partition
     refined_labels: Partition
     model: GcnModel
+
+    @property
+    def loss_trace(self) -> list[float]:
+        return self.metrics["loss_trace"]
 
 
 def _derived_seed(master: int, stage: int) -> int:
@@ -203,4 +205,4 @@ def run(bundle: DatasetBundle, cfg: RunConfig | None = None) -> RunResult:
 
     metrics = staged("metrics", lambda: metric_report(g, labels, cs))
     metrics["loss_trace"] = [float(v) for v in trace]
-    return RunResult(cs, metrics, timings, metrics["loss_trace"], cs_l, cs_r, model)
+    return RunResult(cs, metrics, timings, cs_l, cs_r, model)

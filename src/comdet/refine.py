@@ -10,7 +10,7 @@ share no edge, so every refined community stays internally connected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -61,11 +61,9 @@ def refine_labels(g: Graph, labels: Partition, config: RefineConfig | None = Non
         if sub.m == 0:
             part = Partition(np.arange(sub.n))
         else:
-            seeds = [np.random.SeedSequence(entropy=cfg.seed, spawn_key=(c, i))
-                     for i in range(cfg.leiden_runs)]
-            part = best_of_runs(sub, cfg.leiden_runs,
-                                lambda p: modularity(sub, p),
-                                seeds=seeds, config=template)
+            seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(c,))
+            part = best_of_runs(sub, cfg.leiden_runs, lambda p: modularity(sub, p),
+                                config=replace(template, seed=seed))
         inners.append(_merge_down(g, members, sub, part, int(counts[c]), cfg.threshold_rule))
     return merge_partitions(labels, inners)
 

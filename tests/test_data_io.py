@@ -167,6 +167,58 @@ def test_label_and_edge_errors_name_the_offence(tmp_path, edges, labels, needle)
     assert needle in str(info.value)
 
 
+@pytest.mark.parametrize("attrs", ["a,1\n", "a 0 1\n"])
+def test_missing_attribute_rows_are_named_by_id(tmp_path, attrs):
+    msg = _attr_error(tmp_path, attrs, labels="a u\nb v\nc v\n")
+    assert "nodes without any attribute row: 'b', 'c'" in msg
+
+
+def test_comment_with_comma_keeps_triplet_shape(tmp_path):
+    e = _write(tmp_path, "e", "a b\n")
+    x = _write(tmp_path, "x", "# c, d\na 0 1\nb 0 2\n")
+    l = _write(tmp_path, "l", "a u\nb v\n")
+    assert np.array_equal(load_dataset(e, x, l).attributes, [[1], [2]])
+
+
+@pytest.mark.parametrize("name, text, lineno", [
+    ("l", "a u\n\n# note\nb\n", 4),
+    ("l", "a u\nb v\na w\n", 3),
+    ("e", "a b\n# note\na b c\n", 3),
+    ("x", "a 0 1\nb 0 1 2\n", 2),
+    ("x", "# c, d\na 0 1\nb 0 x\n", 3),
+    ("x", "# c, d\na 0 1\nb -1 1\n", 3),
+    ("x", "a,1\n\nb,2\na,3\n", 4),
+    ("x", "a,1\nb, 2 ,x \n", 2),
+])
+def test_per_line_errors_name_file_and_line(tmp_path, name, text, lineno):
+    files = {"e": "a b\n", "x": "a,1\nb,2\n", "l": "a u\nb v\n", name: text}
+    paths = {k: _write(tmp_path, k, v) for k, v in files.items()}
+    with pytest.raises(DataError) as info:
+        load_dataset(paths["e"], paths["x"], paths["l"])
+    assert str(info.value).startswith(f"{paths[name]}:{lineno}: ")
+
+
+def test_partition_and_converter_errors_name_file_and_line(tmp_path):
+    def error(fn, *args):
+        with pytest.raises(DataError) as info:
+            fn(*args)
+        return str(info.value)
+
+    p = _write(tmp_path, "p", "a 0\n\na 1\n")
+    assert error(load_partition, p, ["a"]).startswith(f"{p}:3: duplicate assignment for id 'a'")
+    p = _write(tmp_path, "p", "a 0\nb\n")
+    assert error(load_partition, p, ["a", "b"]).startswith(f"{p}:2: assignment lines")
+    content = _write(tmp_path, "x.content", "p1 1 0 ml\np2 0 db\np3 1 zz ml\n")
+    cites = _write(tmp_path, "x.cites", "p1 p2\n")
+    assert error(load_cora_content, content, cites).startswith(f"{content}:3: bad feature value")
+    content = _write(tmp_path, "x.content", "p1 1 0 ml\np2 db\n")
+    assert error(load_cora_content, content, cites).startswith(f"{content}:2: content lines need")
+    content = _write(tmp_path, "x.content", "p1 1 0 ml\np2 0 1 db\n")
+    cites = _write(tmp_path, "x.cites", "p1 p2\np2\n")
+    assert error(load_cora_content, content, cites).startswith(
+        f"{cites}:2: cite lines must be 'cited citing'")
+
+
 def test_repeated_triplets_keep_the_last_value(tmp_path):
     e = _write(tmp_path, "e", "a b\n")
     x = _write(tmp_path, "x", "a 0 1\nb 1 2\na 0 5\nb 1 0\n")

@@ -131,19 +131,10 @@ def test_best_of_runs_scores_and_tie_break():
     assert modularity(g, best) == pytest.approx(max(qs), abs=1e-15)
 
 
-def test_best_of_runs_explicit_seeds_reproducible():
-    g = random_graph(np.random.default_rng(21), 40, 0.1)
-    a = best_of_runs(g, 3, lambda p: modularity(g, p), seeds=[7, 8, 9])
-    b = best_of_runs(g, 3, lambda p: modularity(g, p), seeds=[7, 8, 9])
-    assert a == b
-
-
 def test_best_of_runs_validates_arguments():
     g = Graph(3, [(0, 1)])
     with pytest.raises(ValueError):
         best_of_runs(g, 0, lambda p: 0.0)
-    with pytest.raises(ValueError):
-        best_of_runs(g, 2, lambda p: 0.0, seeds=[1])
 
 
 def test_parallel_runs_match_sequential():

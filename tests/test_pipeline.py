@@ -136,11 +136,15 @@ def test_result_record_shape():
     assert set(res.timings) == {"leiden", "refine", "train", "cluster", "metrics"}
     assert all(t >= 0 for t in res.timings.values())
     assert len(res.loss_trace) == 25
+    assert res.loss_trace is res.metrics["loss_trace"]
+    with pytest.raises(AttributeError):
+        res.loss_trace = []
     assert set(res.metrics) == {"Q", "NMI", "Con", "F1", "O_c", "communities",
                                 "loss_trace"}
     snap = cfg.snapshot(bundle.name)
     json.dumps(snap)  # must be serializable as-is
     assert snap["mu"] == 0.5 and snap["mode"] == "full"
+    assert set(snap["refine"]) == {"leiden_runs", "threshold_rule"}
 
 
 def test_metric_report_examples():

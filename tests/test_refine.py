@@ -132,10 +132,9 @@ def test_incremental_merge_matches_naive_full_recompute():
         refined = refine_labels(g, labels, cfg)
 
         # naive reference with the same step-1 result
-        seeds = [np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, i))
-                 for i in range(cfg.leiden_runs)]
+        seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
         part = best_of_runs(g, cfg.leiden_runs, lambda p: modularity(g, p),
-                            seeds=seeds)
+                            config=LeidenConfig(seed=seed))
         comp_count = connected_components(g).k
         target = max(math.ceil(comp_count / 2.0), 1)
         assign = part.assignment.copy()
