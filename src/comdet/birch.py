@@ -12,7 +12,7 @@ out of the data rather than being chosen up front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,11 +37,6 @@ class ClusteringFeature:
         return ClusteringFeature(self.n + other.n, self.ls + other.ls,
                                  self.ss + other.ss)
 
-    def add_inplace(self, other: "ClusteringFeature") -> None:
-        self.n += other.n
-        self.ls += other.ls
-        self.ss += other.ss
-
     @property
     def centroid(self) -> np.ndarray:
         return self.ls / self.n
@@ -65,113 +60,96 @@ class BirchConfig:
             raise ValueError(f"branching_factor must be >= 2, got {self.branching_factor}")
 
 
-@dataclass
-class _Entry:
-    """Leaf subcluster: its statistics plus the rows it has absorbed."""
-
-    cf: ClusteringFeature
-    rows: list[int]
-
-
-@dataclass
 class _Node:
-    leaf: bool
-    cf: ClusteringFeature
-    entries: list[_Entry] = field(default_factory=list)
-    children: list["_Node"] = field(default_factory=list)
+    """A tree node; row i of ``n``, ``ls``, ``ss`` and ``cent`` is child i's CF.
+
+    A leaf's children are subclusters (lists of input rows); an internal
+    node's children are nodes.
+    """
+
+    def __init__(self, leaf: bool, n: np.ndarray, ls: np.ndarray, ss: np.ndarray,
+                 children: list) -> None:
+        self.leaf = leaf
+        self.n, self.ls, self.ss = n, ls, ss
+        self.cent = ls / n[:, None]
+        self.children = children
+
+    def absorb(self, i: int, point: np.ndarray, pp: float) -> None:
+        self.n[i] += 1
+        self.ls[i] += point
+        self.ss[i] += pp
+        self.cent[i] = self.ls[i] / self.n[i]
+
+    def put(self, i: int, j: int, n: np.ndarray, ls: np.ndarray, ss: np.ndarray,
+            children: list) -> None:
+        """Replace children ``i:j`` with the given rows."""
+        self.n = np.concatenate([self.n[:i], n, self.n[j:]])
+        self.ls = np.concatenate([self.ls[:i], ls, self.ls[j:]])
+        self.ss = np.concatenate([self.ss[:i], ss, self.ss[j:]])
+        self.cent = np.concatenate([self.cent[:i], ls / n[:, None], self.cent[j:]])
+        self.children[i:j] = children
 
 
-def _nearest(point: np.ndarray, cfs: list[ClusteringFeature]) -> int:
-    """Index of the CF whose centroid is closest (first wins ties)."""
-    best, best_d = 0, math.inf
-    for i, cf in enumerate(cfs):
-        diff = point - cf.centroid
-        d = float(diff @ diff)
-        if d < best_d:
-            best, best_d = i, d
-    return best
+def _sqdist(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Squared distance of each row to ``point``, one dot product per row.
+
+    Batched ``matmul`` of 1×d by d×1 keeps the bits of ``diff @ diff``; a row
+    sum would add in another order and could break near-ties differently.
+    """
+    diff = rows - point
+    return np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
 
 
-def _farthest_pair(cfs: list[ClusteringFeature]) -> tuple[int, int]:
-    cents = np.array([cf.centroid for cf in cfs])
-    best = (0, 1)
-    best_d = -1.0
-    for i in range(len(cfs)):
-        diff = cents[i + 1:] - cents[i]
-        if diff.size == 0:
-            continue
-        d = (diff * diff).sum(axis=1)
-        j = int(np.argmax(d))
-        if d[j] > best_d:
-            best_d = float(d[j])
-            best = (i, i + 1 + j)
-    return best
+def _split(node: _Node) -> tuple:
+    """Divide an overfull node around its two most distant children.
 
-
-def _split(node: _Node) -> tuple[_Node, _Node]:
-    """Divide an overfull node around its two most distant members."""
-    items: list = node.entries if node.leaf else node.children
-    cfs = [it.cf for it in items]
-    a, b = _farthest_pair(cfs)
-    groups: tuple[list, list] = ([], [])
-    ca, cb = cfs[a].centroid, cfs[b].centroid
-    for i, it in enumerate(items):
-        if i == a:
-            groups[0].append(it)
-        elif i == b:
-            groups[1].append(it)
-        else:
-            c = cfs[i].centroid
-            da = float((c - ca) @ (c - ca))
-            db = float((c - cb) @ (c - cb))
-            groups[0 if da <= db else 1].append(it)
+    Returns the two halves as the rows (n, ls, ss, children) that replace
+    ``node`` in its parent. Each half's CF sums its children one by one, in
+    order (``np.add.accumulate``; a reduction may sum pairwise instead).
+    """
+    i, j = np.triu_indices(len(node.children), 1)
+    diff = node.cent[i] - node.cent[j]
+    far = int(np.argmax((diff * diff).sum(axis=1)))
+    a, b = i[far], j[far]
+    to_a = _sqdist(node.cent, node.cent[a]) <= _sqdist(node.cent, node.cent[b])
+    to_a[a], to_a[b] = True, False
     halves = []
-    for grp in groups:
-        total = grp[0].cf
-        for it in grp[1:]:
-            total = total + it.cf
-        if node.leaf:
-            halves.append(_Node(True, total, entries=grp))
-        else:
-            halves.append(_Node(False, total, children=grp))
-    return halves[0], halves[1]
+    for idx in (np.flatnonzero(to_a), np.flatnonzero(~to_a)):
+        halves.append(_Node(node.leaf, node.n[idx], node.ls[idx], node.ss[idx],
+                            [node.children[k] for k in idx]))
+    return (np.array([h.n.sum() for h in halves]),
+            np.array([np.add.accumulate(h.ls)[-1] for h in halves]),
+            np.array([np.add.accumulate(h.ss)[-1] for h in halves]),
+            halves)
 
 
-def _insert(node: _Node, cf: ClusteringFeature, row: int,
-            cfg: BirchConfig) -> tuple[_Node, _Node] | None:
-    """Insert one point; returns the two halves if this node had to split."""
-    point = cf.centroid
+def _insert(node: _Node, point: np.ndarray, pp: float, row: int,
+            cfg: BirchConfig) -> tuple | None:
+    """Insert one point; returns the two halves' rows if this node had to split."""
+    k = len(node.children)
     if node.leaf:
-        if node.entries:
-            i = _nearest(point, [e.cf for e in node.entries])
-            if (node.entries[i].cf + cf).radius <= cfg.threshold_radius:
-                node.entries[i].cf.add_inplace(cf)
-                node.entries[i].rows.append(row)
-                node.cf.add_inplace(cf)
+        if k:
+            i = int(np.argmin(_sqdist(node.cent, point)))
+            merged = ClusteringFeature(node.n[i] + 1, node.ls[i] + point, node.ss[i] + pp)
+            if merged.radius <= cfg.threshold_radius:
+                node.absorb(i, point, pp)
+                node.children[i].append(row)
                 return None
-        node.entries.append(_Entry(cf, [row]))
-        node.cf.add_inplace(cf)
-        if len(node.entries) > cfg.branching_factor:
-            return _split(node)
-        return None
-
-    i = _nearest(point, [c.cf for c in node.children])
-    spill = _insert(node.children[i], cf, row, cfg)
-    node.cf.add_inplace(cf)
-    if spill is not None:
-        node.children[i:i + 1] = list(spill)
-        if len(node.children) > cfg.branching_factor:
-            return _split(node)
-    return None
+        node.put(k, k, np.ones(1, dtype=np.int64), point[None], np.array([pp]), [[row]])
+    else:
+        i = int(np.argmin(_sqdist(node.cent, point)))
+        spill = _insert(node.children[i], point, pp, row, cfg)
+        if spill is None:
+            node.absorb(i, point, pp)
+            return None
+        node.put(i, i + 1, *spill)
+    return _split(node) if len(node.children) > cfg.branching_factor else None
 
 
-def _leaf_entries(node: _Node) -> list[_Entry]:
+def _leaf_rows(node: _Node) -> list[list[int]]:
     if node.leaf:
-        return list(node.entries)
-    out: list[_Entry] = []
-    for child in node.children:
-        out.extend(_leaf_entries(child))
-    return out
+        return node.children
+    return [rows for child in node.children for rows in _leaf_rows(child)]
 
 
 def birch_cluster(x_e: np.ndarray, cfg: BirchConfig | None = None) -> Partition:
@@ -184,14 +162,14 @@ def birch_cluster(x_e: np.ndarray, cfg: BirchConfig | None = None) -> Partition:
     if not np.all(np.isfinite(x)):
         raise ValueError("embedding rows must be finite")
 
-    root = _Node(True, ClusteringFeature(0, np.zeros(x.shape[1]), 0.0))
+    root = _Node(True, np.zeros(0, dtype=np.int64), np.zeros((0, x.shape[1])),
+                 np.zeros(0), [])
     for row in range(x.shape[0]):
-        spill = _insert(root, ClusteringFeature.from_point(x[row]), row, cfg)
+        spill = _insert(root, x[row], float(x[row] @ x[row]), row, cfg)
         if spill is not None:
-            cf = spill[0].cf + spill[1].cf
-            root = _Node(False, cf, children=list(spill))
+            root = _Node(False, *spill)
 
     assignment = np.empty(x.shape[0], dtype=np.int64)
-    for cid, entry in enumerate(_leaf_entries(root)):
-        assignment[entry.rows] = cid
+    for cid, rows in enumerate(_leaf_rows(root)):
+        assignment[rows] = cid
     return Partition(assignment)

@@ -83,6 +83,8 @@ def _parse_dims(text) -> tuple[int, int, int]:
         dims = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise DataError(f"bad hidden dims {text!r}: {exc}") from exc
+    if min(dims) < 1:
+        raise DataError(f"hidden dims must be positive sizes, got {text!r}")
     return dims  # type: ignore[return-value]
 
 
@@ -112,25 +114,24 @@ def _settings(args) -> dict:
 
 
 def _run_config(settings: dict) -> RunConfig:
+    """Build the run's config; a setting of the wrong type or range is a data error."""
     try:
-        rule = ThresholdRule(settings["threshold_rule"])
-        mode = RunMode(settings["mode"])
-    except ValueError as exc:
+        return RunConfig(
+            mu=None if settings["mu"] is None else float(settings["mu"]),
+            leiden_global_runs=int(settings["leiden_runs"]),
+            refine=RefineConfig(leiden_runs=int(settings["refine_runs"]),
+                                threshold_rule=ThresholdRule(settings["threshold_rule"])),
+            epochs=int(settings["epochs"]),
+            learning_rate=float(settings["lr"]),
+            hidden_dims=settings["hidden_dims"],
+            birch=BirchConfig(threshold_radius=float(settings["birch_threshold"]),
+                              branching_factor=int(settings["branching_factor"])),
+            seed=int(settings["seed"]),
+            mode=RunMode(settings["mode"]),
+            parallel_runs=int(settings["parallel_runs"]),
+        )
+    except (TypeError, ValueError) as exc:
         raise DataError(str(exc)) from exc
-    return RunConfig(
-        mu=settings["mu"],
-        leiden_global_runs=int(settings["leiden_runs"]),
-        refine=RefineConfig(leiden_runs=int(settings["refine_runs"]),
-                            threshold_rule=rule),
-        epochs=int(settings["epochs"]),
-        learning_rate=float(settings["lr"]),
-        hidden_dims=settings["hidden_dims"],
-        birch=BirchConfig(threshold_radius=float(settings["birch_threshold"]),
-                          branching_factor=int(settings["branching_factor"])),
-        seed=int(settings["seed"]),
-        mode=mode,
-        parallel_runs=int(settings["parallel_runs"]),
-    )
 
 
 def _metric_table(metrics: dict) -> str:
@@ -204,9 +205,9 @@ def _cmd_refine(args) -> int:
     g, labels = bundle.graph, bundle.labels
     try:
         rule = ThresholdRule(args.threshold_rule)
+        cfg = RefineConfig(leiden_runs=args.runs, threshold_rule=rule, seed=args.seed)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    cfg = RefineConfig(leiden_runs=args.runs, threshold_rule=rule, seed=args.seed)
     refined = refine_labels(g, labels, cfg)
     record = {
         "labels": labels.k,

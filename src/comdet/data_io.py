@@ -157,8 +157,10 @@ def _load_attributes(path, index: dict[str, int], n: int) -> np.ndarray:
             if i is None:
                 unknown.append(node)
                 continue
+            if not comma:
+                raise DataError(f"{path}:{lineno}: attribute row for id {node!r} has no values")
             try:
-                values = np.array(rest.split(",") if comma else [], dtype=np.float64)
+                values = np.array(rest.split(","), dtype=np.float64)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad attribute value ({exc})") from exc
             if x is None:

@@ -117,7 +117,7 @@ class GcnModel:
         if not isinstance(ax0, LinearOperator):
             raise TypeError("forward takes the output of GcnModel.propagate(x), "
                             f"not {type(ax0).__name__}")
-        cache: dict = {"ax": [], "z": [], "act": []}
+        cache: dict = {"ax": [], "z": []}
         h = None
         for layer, w in enumerate(self.weights):
             ah = self.a_norm @ h if layer else ax0
@@ -125,7 +125,6 @@ class GcnModel:
             h = selu(z)
             cache["ax"].append(ah)
             cache["z"].append(z)
-            cache["act"].append(h)
 
         # row-normalize by the (sign-safely shifted) row sum, squash, then
         # square and scale to exactly unit-norm rows
@@ -138,7 +137,7 @@ class GcnModel:
         s = np.linalg.norm(u, axis=1, keepdims=True)
         nonzero = s > EPS
         xe = np.where(nonzero, u / np.where(nonzero, s, 1.0), 0.0)
-        cache.update(h3=h, den=den, xb=xb, xh=xh, r=r, u=u, s=s, nonzero=nonzero)
+        cache.update(h3=h, den=den, xh=xh, r=r, u=u, s=s, nonzero=nonzero)
         return xe, cache
 
     def backward(self, cache: dict, d_xe: np.ndarray) -> list[np.ndarray]:

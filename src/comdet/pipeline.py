@@ -11,7 +11,7 @@ or split disconnected output communities as a post-process.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -65,6 +65,12 @@ def resolve_mu(name: str, explicit: float | None = None) -> float:
 
 @dataclass
 class RunConfig:
+    """Settings of one pipeline run.
+
+    ``seed`` is the only seed a run reads: the seeds inside ``leiden``,
+    ``refine`` and ``refine.leiden`` are replaced by ones derived from it.
+    """
+
     mu: float | None = None
     leiden_global_runs: int = 30
     leiden: LeidenConfig = field(default_factory=LeidenConfig)
@@ -80,9 +86,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         self.mode = RunMode(self.mode)
         if self.leiden_global_runs < 1:
-            raise ValueError("leiden_global_runs must be >= 1")
+            raise ValueError(
+                f"leiden_global_runs must be >= 1, got {self.leiden_global_runs}")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
     def snapshot(self, bundle_name: str) -> dict:
         """JSON-ready record of every resolved setting."""
@@ -156,8 +163,7 @@ def run(bundle: DatasetBundle, cfg: RunConfig | None = None) -> RunResult:
 
     # stage 1: global modularity target, selected by label agreement when the
     # labels are informative, by modularity itself otherwise
-    lcfg = LeidenConfig(seed=_derived_seed(cfg.seed, 0),
-                        max_passes=cfg.leiden.max_passes, theta=cfg.leiden.theta)
+    lcfg = replace(cfg.leiden, seed=_derived_seed(cfg.seed, 0))
     if labels.k > 1:
         score = lambda p: nmi(p, labels)
     else:
@@ -170,10 +176,7 @@ def run(bundle: DatasetBundle, cfg: RunConfig | None = None) -> RunResult:
         cs_r = labels
         timings["refine"] = 0.0
     else:
-        rcfg = RefineConfig(leiden_runs=cfg.refine.leiden_runs,
-                            threshold_rule=cfg.refine.threshold_rule,
-                            seed=_derived_seed(cfg.seed, 1),
-                            leiden=cfg.refine.leiden)
+        rcfg = replace(cfg.refine, seed=_derived_seed(cfg.seed, 1))
         cs_r = staged("refine", lambda: refine_labels(g, labels, rcfg))
 
     # stage 3: train the encoder against the composite pairwise objective

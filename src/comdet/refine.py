@@ -41,6 +41,10 @@ class RefineConfig:
     seed: int = 0
     leiden: LeidenConfig | None = None  # template for per-label runs (seed ignored)
 
+    def __post_init__(self) -> None:
+        if self.leiden_runs < 1:
+            raise ValueError(f"leiden_runs must be >= 1, got {self.leiden_runs}")
+
 
 def refine_labels(g: Graph, labels: Partition, config: RefineConfig | None = None) -> Partition:
     """Split every labeled community into connected sub-communities.

@@ -111,6 +111,33 @@ def test_deterministic_given_row_order():
     assert p1 == p2
 
 
+def test_single_child_split_half_keeps_its_own_statistics():
+    # with branching factor 2 the third subcluster splits the root leaf into
+    # halves of one and two; rows 1.0 and 2.0 then fit one subcluster of
+    # radius 0.5, which needs the one-subcluster half's CF counted once
+    x = np.array([[10.0], [1.0], [6.0], [4.0], [2.0]])
+    p = birch_cluster(x, BirchConfig(threshold_radius=1.0, branching_factor=2))
+    assert p.assignment.tolist() == [0, 2, 1, 3, 2]
+
+
+def test_seeded_partition_is_pinned():
+    # 180 points form 119 subclusters, so at the default branching factor the
+    # root leaf splits and the root ends with four leaves under it
+    x = np.random.default_rng(37).uniform(0.0, 24.0, size=(180, 2))
+    assert birch_cluster(x).assignment.tolist() == [
+        0, 64, 65, 1, 27, 2, 28, 3, 66, 67, 95, 96, 29, 30, 4, 97, 31, 68, 98,
+        32, 5, 6, 69, 99, 98, 29, 28, 33, 34, 7, 35, 8, 100, 9, 69, 70, 71, 36,
+        10, 72, 73, 10, 37, 38, 0, 101, 11, 66, 102, 12, 4, 39, 40, 41, 13, 7,
+        103, 27, 74, 28, 42, 75, 104, 43, 44, 105, 76, 106, 77, 107, 78, 100,
+        79, 43, 103, 108, 95, 109, 80, 45, 28, 14, 100, 97, 75, 15, 46, 81, 47,
+        82, 110, 111, 66, 83, 48, 84, 85, 16, 49, 17, 31, 112, 110, 83, 50, 86,
+        18, 51, 52, 87, 88, 18, 113, 89, 114, 78, 83, 97, 115, 98, 46, 36, 15,
+        77, 19, 33, 90, 88, 45, 115, 96, 91, 53, 92, 20, 33, 21, 54, 43, 93, 11,
+        64, 38, 55, 22, 113, 108, 23, 24, 56, 94, 75, 40, 57, 65, 58, 19, 79,
+        116, 59, 117, 74, 25, 118, 83, 3, 60, 98, 14, 80, 92, 19, 93, 61, 94,
+        14, 26, 62, 63, 99]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         BirchConfig(threshold_radius=0.0)

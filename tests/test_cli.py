@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from comdet import cli, pipeline
 from comdet.cli import main
 from comdet.data_io import load_dataset, load_partition
 from comdet.metrics import modularity
@@ -53,11 +54,47 @@ def test_missing_file_exits_2_naming_the_flag(tmp_path, capsys):
     assert "--labels" in capsys.readouterr().err
 
 
-def test_runtime_failure_exits_3(tmp_path, capsys):
+def test_runtime_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise FloatingPointError("loss overflow")
+
     data = _fixture(tmp_path)
-    code = main(_detect_args(data, tmp_path / "o", ["--hidden-dims", "0,0,0"]))
+    monkeypatch.setattr(pipeline, "train", diverge)
+    code = main(_detect_args(data, tmp_path / "o"))
     assert code == 3
-    assert "error" in capsys.readouterr().err
+    assert "pipeline stage 'train' failed: loss overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, flags, needle", [
+    ("detect", ["--birch-threshold", "-1"], "threshold_radius must be > 0, got -1.0"),
+    ("detect", ["--branching-factor", "1"], "branching_factor must be >= 2, got 1"),
+    ("detect", ["--epochs", "-1"], "epochs must be >= 0, got -1"),
+    ("detect", ["--leiden-runs", "0"], "leiden_global_runs must be >= 1, got 0"),
+    ("detect", ["--refine-runs", "0"], "leiden_runs must be >= 1, got 0"),
+    ("detect", ["--hidden-dims", "0,1,1"], "hidden dims must be positive sizes, got '0,1,1'"),
+    ("detect", {"epochs": "abc"}, "'abc'"),
+    ("detect", {"mu": "abc"}, "'abc'"),
+    ("refine", ["--runs", "0"], "leiden_runs must be >= 1, got 0"),
+])
+def test_bad_settings_exit_2_before_any_stage(tmp_path, capsys, monkeypatch,
+                                              cmd, flags, needle):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a pipeline stage ran")
+
+    data = _fixture(tmp_path)
+    if isinstance(flags, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flags))
+        flags = ["--config", str(cfg)]
+    monkeypatch.setattr(cli, "run", no_stage)
+    monkeypatch.setattr(cli, "refine_labels", no_stage)
+    capsys.readouterr()
+    code = main([cmd, "--edges", str(data / "edges.tsv"),
+                 "--attrs", str(data / "attrs.csv"),
+                 "--labels", str(data / "labels.tsv"),
+                 "--out", str(tmp_path / "o"), *flags])
+    assert code == 2
+    assert needle in capsys.readouterr().err
 
 
 def test_detect_writes_results_and_table(tmp_path, capsys):

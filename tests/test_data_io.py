@@ -189,6 +189,7 @@ def test_comment_with_comma_keeps_triplet_shape(tmp_path):
     ("x", "# c, d\na 0 1\nb -1 1\n", 3),
     ("x", "a,1\n\nb,2\na,3\n", 4),
     ("x", "a,1\nb, 2 ,x \n", 2),
+    ("x", "a\nb,0,1\n", 1),
 ])
 def test_per_line_errors_name_file_and_line(tmp_path, name, text, lineno):
     files = {"e": "a b\n", "x": "a,1\nb,2\n", "l": "a u\nb v\n", name: text}
