@@ -85,6 +85,17 @@ def random_partition(rng: np.random.Generator, n: int, k: int) -> Partition:
     return Partition(Partition.from_labels(a.tolist()).assignment)
 
 
+def block_model(rng: np.random.Generator, blocks: Partition, p_in: float,
+                p_out: float) -> Graph:
+    """Planted-partition graph: node pairs in one block are joined with
+    probability ``p_in``, pairs across blocks with ``p_out``."""
+    iu = np.triu_indices(blocks.n, k=1)
+    a = blocks.assignment
+    p = np.where(a[iu[0]] == a[iu[1]], p_in, p_out)
+    keep = rng.random(p.size) < p
+    return Graph(blocks.n, np.stack([iu[0][keep], iu[1][keep]], axis=1))
+
+
 def modularity_double_sum(g: Graph, cs: Partition) -> float:
     """O(n^2) oracle: the textbook double sum over all ordered node pairs."""
     if g.m == 0:

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from comdet.graph import Graph, Partition, canonical_labels, connected_components
-from comdet.leiden import LeidenConfig, _aggregate, _LevelGraph, best_of_runs, leiden
+from comdet.leiden import (LeidenConfig, _aggregate, _LevelGraph, _local_move, _refine,
+                           best_of_runs, leiden)
 from comdet.metrics import modularity
 from comdet.refine import RefineConfig, refine_labels
 
-from conftest import all_partitions, random_connected_graph, random_graph
+from conftest import (all_partitions, block_model, random_connected_graph, random_graph,
+                      random_partition)
 
 
 def brute_force_best_q(g: Graph) -> float:
@@ -160,6 +164,100 @@ def test_seeded_outputs_are_pinned():
         0, 5, 9, 0, 5, 9, 0, 5, 10, 0, 5, 11, 0, 6, 11, 0, 6, 11, 1, 5, 11, 0, 5, 9, 1, 6, 9, 0,
         5, 12, 2, 6, 9, 0, 7, 9, 0, 5, 13, 0, 8, 11, 0, 5, 9, 0, 5, 9, 0, 5, 9, 0, 6, 9, 3, 6, 9,
         4, 6, 9]
+
+
+def _sha256(p: Partition) -> str:
+    return hashlib.sha256(p.assignment.astype(np.int64).tobytes()).hexdigest()
+
+
+def test_seeded_outputs_are_pinned_on_a_block_model():
+    """A 1500-node block model runs Leiden through several aggregate levels
+    with thousands of multi-candidate refinement draws; digests of the
+    assignments pin those paths, which the 60-node pin rarely reaches."""
+    rng = np.random.default_rng(1500)
+    blocks = random_partition(rng, 1500, 30)
+    g = block_model(rng, blocks, 0.12, 0.0015)
+    assert (g.n, g.m) == (1500, 6196)
+    assert _sha256(leiden(g, LeidenConfig(seed=0))) == (
+        "de423d8ac90da5f99742d95e9b7bb1f47755b71fd137b09d1e8142fed02e7a23")
+    labels = Partition(blocks.assignment // 2)
+    refined = refine_labels(g, labels, RefineConfig(seed=0, leiden_runs=2))
+    assert _sha256(refined) == (
+        "73a447b315d3bc87ea8ba82baba637f4d8aac06ef12a86fe1ce8d734e04bfd72")
+
+
+def _level_graph(n: int, edges: list[tuple[int, int, int]]) -> _LevelGraph:
+    """Level graph from weighted (u, v, w) edges between distinct nodes."""
+    both = sorted([(u, v, w) for u, v, w in edges] + [(v, u, w) for u, v, w in edges])
+    src, dst, w = (np.asarray(col, dtype=np.int64) for col in zip(*both))
+    strength = np.bincount(src, weights=w, minlength=n).astype(np.int64)
+    return _LevelGraph(src, dst, w, strength, int(strength.sum()))
+
+
+@pytest.mark.parametrize("comm", [[0, 1, 1, 2, 2], [0, 2, 2, 1, 1], [2, 1, 1, 0, 0]])
+def test_local_move_breaks_equal_gains_to_the_lowest_id(comm):
+    """Node 0 hangs by one unit edge from each of two equal heavy pairs: both
+    moves gain the same, and it joins the pair with the lower community id.
+    Once there, the tie with its own community keeps it in place."""
+    lg = _level_graph(5, [(1, 2, 5), (3, 4, 5), (0, 1, 1), (0, 3, 1)])
+    low = min(comm[1], comm[3])
+    for seed in range(6):
+        got = list(comm)
+        assert _local_move(lg, got, np.random.default_rng(seed))
+        assert got == [low] + comm[1:]
+
+
+class _FirstCandidate:
+    """Generator stand-in: a fixed visiting order and draws that always land
+    on the first candidate, whichever way the draw is made."""
+
+    def __init__(self, order: list[int]) -> None:
+        self.order = order
+
+    def permutation(self, n: int) -> np.ndarray:
+        return np.asarray(self.order)
+
+    def choice(self, k: int, p=None) -> int:
+        return 0
+
+    def random(self) -> float:
+        return 0.0
+
+
+def test_refine_orders_candidates_ascending():
+    """Node 1 joins node 4's group first, so node 5 meets its neighbours'
+    groups in the order 4, 2, 3; the draw sees them as 2, 3, 4."""
+    lg = _level_graph(6, [(1, 5, 2), (2, 5, 1), (3, 5, 1), (1, 4, 1)])
+    ref = _refine(lg, [0] * 6, _FirstCandidate([1, 5, 2, 3, 4, 0]), 0.01)
+    assert ref == [0, 4, 2, 2, 4, 2]
+
+
+def _choice_free_draw(p: np.ndarray, rng: np.random.Generator) -> int:
+    """The steps ``Generator.choice(k, p=p)`` runs for one weighted draw."""
+    p = p / p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def test_choice_free_draw_matches_generator_choice():
+    """Same index and same generator state as ``Generator.choice`` over random
+    exp(gain / theta) weights, with ties, as ``_refine`` builds them."""
+    meta = np.random.default_rng(77)
+    for trial in range(5000):
+        k = int(meta.integers(2, 41))
+        two_m = int(meta.integers(2, 10**6))
+        if trial % 3 == 0:
+            ints = meta.choice(meta.integers(0, two_m**2, 3), k)  # tied gains
+        else:
+            ints = meta.integers(0, two_m**2, k)
+        theta = float(meta.choice([0.01, meta.uniform(1e-4, 1.0)]))
+        logits = np.asarray([float(x) * (2.0 / float(two_m) ** 2) for x in ints]) / theta
+        p = np.exp(logits - logits.max())
+        seed = int(meta.integers(2**32))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _choice_free_draw(p, a) == int(b.choice(k, p=p / p.sum()))
+        assert a.random() == b.random()
 
 
 def test_aggregate_matches_dense_contraction():
