@@ -28,7 +28,7 @@ from .data_io import (
     write_results,
 )
 from .gcn import save_checkpoint
-from .leiden import LeidenConfig, best_of_runs
+from .leiden import LeidenConfig, best_of_runs, check_run_counts
 from .metrics import connectivity_score, modularity
 from .pipeline import RunConfig, RunMode, metric_report, resolve_mu, run
 from .refine import RefineConfig, ThresholdRule, refine_labels
@@ -182,6 +182,10 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_leiden(args) -> int:
+    try:
+        check_run_counts(args.runs, args.parallel_runs)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     bundle = _load_bundle(args)
     g = bundle.graph
     cfg = LeidenConfig(seed=args.seed)

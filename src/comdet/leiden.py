@@ -44,7 +44,10 @@ class _LevelGraph:
     is the weighted degree of ``v`` including twice the weight of edges
     contracted inside it, so ``sum(strength) == two_m`` at every level.
     ``strength`` and the per-node ascending ``nbrs``/``ws`` rows are Python
-    lists for the scalar loops of local moving and refinement.
+    lists for the scalar loops of local moving and refinement, which share
+    ``scratch``: one zeroed entry per node or community id, where a loop
+    sums a node's edge weight per neighbouring community and zeroes it
+    again before moving on.
     """
 
     def __init__(self, src: np.ndarray, dst: np.ndarray, w: np.ndarray,
@@ -57,6 +60,7 @@ class _LevelGraph:
         dst_l, w_l = dst.tolist(), w.tolist()
         self.nbrs = [dst_l[i:j] for i, j in zip(bounds, bounds[1:])]
         self.ws = [w_l[i:j] for i, j in zip(bounds, bounds[1:])]
+        self.scratch = [0] * self.n
 
     @classmethod
     def from_graph(cls, g: Graph) -> "_LevelGraph":
@@ -66,6 +70,14 @@ class _LevelGraph:
 
 def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> bool:
     """Move nodes to strictly better communities until none exists.
+
+    Each attempt sums the node's edge weight per neighbouring community into
+    the level's zeroed ``scratch`` list, noting each community it touches,
+    and zeroes those entries again while it scores them in one unordered
+    pass. The best other community is the one of highest gain, lowest id
+    among equal gains; the node moves there only if that beats staying
+    (ties stay), and to a fresh singleton when every option loses
+    modularity. An attempt that keeps the node where it is writes nothing.
 
     After the FIFO queue drains, full sweeps re-check every node: a move
     changes sigma_tot of two communities, which can flip the best choice of
@@ -78,6 +90,8 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> b
     two_m = lg.two_m
     strength = lg.strength
     nbrs, ws = lg.nbrs, lg.ws
+    scratch = lg.scratch
+    touched: list[int] = []
 
     k = max(comm) + 1
     sigma_tot = [0] * n
@@ -92,26 +106,29 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> b
     def attempt(v: int) -> bool:
         cv = comm[v]
         kv = strength[v]
-        w: dict[int, int] = {}
         for u, wt in zip(nbrs[v], ws[v]):
             cu = comm[u]
-            w[cu] = w.get(cu, 0) + wt
-        sigma_tot[cv] -= kv
+            if not scratch[cu]:
+                touched.append(cu)
+            scratch[cu] += wt
+        sigma_cv = sigma_tot[cv] - kv
         best_c = cv
-        best_gain = w.get(cv, 0) * two_m - sigma_tot[cv] * kv
-        for c in sorted(w):
-            if c == cv:
-                continue
-            gain = w[c] * two_m - sigma_tot[c] * kv
-            if gain > best_gain:
+        best_gain = scratch[cv] * two_m - sigma_cv * kv
+        # cv itself scores kv*kv below best_gain here, so it never wins
+        for c in touched:
+            gain = scratch[c] * two_m - sigma_tot[c] * kv
+            scratch[c] = 0
+            if gain >= best_gain and (gain > best_gain or (c < best_c and best_c != cv)):
                 best_gain, best_c = gain, c
-        if best_gain < 0 and sigma_tot[cv] > 0:
+        touched.clear()
+        if best_gain < 0 and sigma_cv > 0:
             best_c = free.pop()  # a fresh singleton (gain 0) beats every option
-        comm[v] = best_c
-        sigma_tot[best_c] += kv
-        if best_c == cv:
+        elif best_c == cv:
             return False
-        if sigma_tot[cv] == 0:
+        comm[v] = best_c
+        sigma_tot[cv] = sigma_cv
+        sigma_tot[best_c] += kv
+        if sigma_cv == 0:
             free.append(cv)
         for u in nbrs[v]:
             if comm[u] != best_c and not in_queue[u]:
@@ -134,20 +151,39 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> b
             return moved_any
 
 
+def _draw(gains: list[float], theta: float, rng: np.random.Generator) -> int:
+    """Index drawn with probability proportional to exp(gain / theta).
+
+    Runs the steps of ``rng.choice(len(gains), p=p / p.sum())`` without its
+    argument checks: normalise, cumulative sum rescaled to end at 1, then
+    one ``rng.random()`` placed with ``searchsorted``. Index and generator
+    state match ``choice`` bit for bit.
+    """
+    logits = np.asarray(gains) / theta
+    p = np.exp(logits - logits.max())
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _refine(lg: _LevelGraph, comm: list[int], rng: np.random.Generator,
             theta: float) -> list[int]:
     """Sub-partition each community by merging singleton nodes into neighbors.
 
     Only nodes still alone are candidates, merges stay inside the node's
     community, require a connecting edge, and must not decrease modularity.
-    Among admissible targets one is drawn with probability proportional to
-    exp(gain/theta), which keeps better merges likely while letting the
-    aggregation explore slightly different groupings per seed.
+    Edge weight per neighbouring group is summed in the level's ``scratch``
+    list, and the touched groups are scored in ascending id order. Among
+    admissible targets one is drawn with probability proportional to
+    exp(gain/theta) (:func:`_draw`), which keeps better merges likely while
+    letting the aggregation explore slightly different groupings per seed.
     """
     n = lg.n
     two_m = lg.two_m
     strength = lg.strength
     nbrs, ws = lg.nbrs, lg.ws
+    scratch = lg.scratch
     scale = 2.0 / float(two_m) ** 2 if two_m else 0.0
 
     ref = list(range(n))
@@ -155,33 +191,34 @@ def _refine(lg: _LevelGraph, comm: list[int], rng: np.random.Generator,
     ref_size = [1] * n
 
     for v in rng.permutation(n).tolist():
-        if ref_size[ref[v]] != 1:
+        rv = ref[v]
+        if ref_size[rv] != 1:
             continue
         cv = comm[v]
-        rv = ref[v]
-        w: dict[int, int] = {}
+        touched: list[int] = []
         for u, wt in zip(nbrs[v], ws[v]):
-            if comm[u] == cv and ref[u] != rv:
+            if comm[u] == cv:
                 s = ref[u]
-                w[s] = w.get(s, 0) + wt
-        if not w:
+                if s != rv:
+                    if not scratch[s]:
+                        touched.append(s)
+                    scratch[s] += wt
+        if not touched:
             continue
+        if len(touched) > 1:
+            touched.sort()  # the draw depends on candidate order
         kv = strength[v]
         cands: list[int] = []
         gains: list[float] = []
-        for s in sorted(w):
-            gain = w[s] * two_m - ref_sigma[s] * kv
+        for s in touched:
+            gain = scratch[s] * two_m - ref_sigma[s] * kv
+            scratch[s] = 0
             if gain >= 0:
                 cands.append(s)
                 gains.append(float(gain) * scale)
         if not cands:
             continue
-        if len(cands) == 1:
-            target = cands[0]
-        else:
-            logits = np.asarray(gains) / theta
-            p = np.exp(logits - logits.max())
-            target = cands[int(rng.choice(len(cands), p=p / p.sum()))]
+        target = cands[0] if len(cands) == 1 else cands[_draw(gains, theta, rng)]
         ref[v] = target
         ref_sigma[target] += kv
         ref_sigma[rv] -= kv
@@ -256,6 +293,14 @@ def _run_one(args) -> Partition:
     return leiden(g, cfg)
 
 
+def check_run_counts(runs: int, parallel: int) -> None:
+    """Raise ``ValueError`` naming the value unless ``runs`` and ``parallel`` are >= 1."""
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
+
+
 def best_of_runs(g: Graph, runs: int, score, config: LeidenConfig | None = None,
                  parallel: int = 1) -> Partition:
     """Best scoring partition over ``runs`` seeded Leiden runs.
@@ -264,10 +309,10 @@ def best_of_runs(g: Graph, runs: int, score, config: LeidenConfig | None = None,
     index. Run seeds are spawned deterministically from the config seed (an
     integer, a numpy integer or a ``SeedSequence``, whose spawn key they
     extend; ``None`` counts as 0), so repeated calls reproduce the same
-    winner.
+    winner. When ``min(parallel, runs) > 1`` the runs go to a process pool
+    of that many workers; results match the serial ones.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    check_run_counts(runs, parallel)
     cfg = config if config is not None else LeidenConfig()
     if isinstance(cfg.seed, np.random.SeedSequence):
         entropy, key = cfg.seed.entropy, cfg.seed.spawn_key
@@ -276,8 +321,9 @@ def best_of_runs(g: Graph, runs: int, score, config: LeidenConfig | None = None,
     seeds = [np.random.SeedSequence(entropy=entropy, spawn_key=key + (i,))
              for i in range(runs)]
     configs = [replace(cfg, seed=s) for s in seeds]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel, runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_one, [(g, c) for c in configs]))
     else:
         parts = [leiden(g, c) for c in configs]

@@ -90,6 +90,8 @@ class RunConfig:
                 f"leiden_global_runs must be >= 1, got {self.leiden_global_runs}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.parallel_runs < 1:
+            raise ValueError(f"parallel_runs must be >= 1, got {self.parallel_runs}")
 
     def snapshot(self, bundle_name: str) -> dict:
         """JSON-ready record of every resolved setting."""

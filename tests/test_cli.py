@@ -75,6 +75,9 @@ def test_runtime_failure_exits_3(tmp_path, capsys, monkeypatch):
     ("detect", {"epochs": "abc"}, "'abc'"),
     ("detect", {"mu": "abc"}, "'abc'"),
     ("refine", ["--runs", "0"], "leiden_runs must be >= 1, got 0"),
+    ("detect", ["--parallel-runs", "-3"], "parallel_runs must be >= 1, got -3"),
+    ("leiden", ["--parallel-runs", "0"], "parallel must be >= 1, got 0"),
+    ("leiden", ["--runs", "0"], "runs must be >= 1, got 0"),
 ])
 def test_bad_settings_exit_2_before_any_stage(tmp_path, capsys, monkeypatch,
                                               cmd, flags, needle):
@@ -88,6 +91,7 @@ def test_bad_settings_exit_2_before_any_stage(tmp_path, capsys, monkeypatch,
         flags = ["--config", str(cfg)]
     monkeypatch.setattr(cli, "run", no_stage)
     monkeypatch.setattr(cli, "refine_labels", no_stage)
+    monkeypatch.setattr(cli, "best_of_runs", no_stage)
     capsys.readouterr()
     code = main([cmd, "--edges", str(data / "edges.tsv"),
                  "--attrs", str(data / "attrs.csv"),

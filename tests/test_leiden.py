@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
 
 from comdet.graph import Graph, Partition, canonical_labels, connected_components
-from comdet.leiden import (LeidenConfig, _aggregate, _LevelGraph, _local_move, _refine,
-                           best_of_runs, leiden)
+from comdet.leiden import (LeidenConfig, _aggregate, _draw, _LevelGraph, _local_move,
+                           _refine, best_of_runs, leiden)
 from comdet.metrics import modularity
 from comdet.refine import RefineConfig, refine_labels
 
 from conftest import (all_partitions, block_model, random_connected_graph, random_graph,
                       random_partition)
+
+leiden_module = importlib.import_module("comdet.leiden")  # comdet.leiden is also the function
 
 
 def brute_force_best_q(g: Graph) -> float:
@@ -141,6 +144,48 @@ def test_best_of_runs_validates_arguments():
         best_of_runs(g, 0, lambda p: 0.0)
 
 
+def test_best_of_runs_rejects_parallel_below_one():
+    g = Graph(3, [(0, 1)])
+    for parallel in (0, -3):
+        with pytest.raises(ValueError, match=f"parallel must be >= 1, got {parallel}"):
+            best_of_runs(g, 2, lambda p: 0.0, parallel=parallel)
+    with pytest.raises(ValueError, match="runs must be >= 1, got 0"):
+        best_of_runs(g, 0, lambda p: 0.0)
+
+
+class _SerialPool:
+    """ProcessPoolExecutor stand-in that records ``max_workers`` and maps in
+    this process, so no worker is ever started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int) -> None:
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_best_of_runs_pool_has_at_most_one_worker_per_run(monkeypatch):
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(leiden_module, "ProcessPoolExecutor", _SerialPool)
+    g = random_graph(np.random.default_rng(33), 40, 0.1)
+    score = lambda p: modularity(g, p)  # noqa: E731
+    serial = best_of_runs(g, 3, score, config=LeidenConfig(seed=5))
+    for parallel, workers in ((2, 2), (3, 3), (8, 3)):
+        assert best_of_runs(g, 3, score, config=LeidenConfig(seed=5),
+                            parallel=parallel) == serial
+        assert _SerialPool.sizes[-1] == workers
+    best_of_runs(g, 1, score, parallel=4)  # one run, one worker: no pool
+    assert _SerialPool.sizes == [2, 3, 3]
+
+
 def test_parallel_runs_match_sequential():
     g = random_graph(np.random.default_rng(33), 60, 0.07)
     seq = best_of_runs(g, 4, lambda p: modularity(g, p), config=LeidenConfig(seed=5))
@@ -232,17 +277,10 @@ def test_refine_orders_candidates_ascending():
     assert ref == [0, 4, 2, 2, 4, 2]
 
 
-def _choice_free_draw(p: np.ndarray, rng: np.random.Generator) -> int:
-    """The steps ``Generator.choice(k, p=p)`` runs for one weighted draw."""
-    p = p / p.sum()
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
-
-
-def test_choice_free_draw_matches_generator_choice():
-    """Same index and same generator state as ``Generator.choice`` over random
-    exp(gain / theta) weights, with ties, as ``_refine`` builds them."""
+def test_draw_matches_generator_choice():
+    """``_draw`` gives the same index and generator state as the
+    ``Generator.choice`` call it replaces, over random exp(gain / theta)
+    weights, with ties, as ``_refine`` builds them."""
     meta = np.random.default_rng(77)
     for trial in range(5000):
         k = int(meta.integers(2, 41))
@@ -252,11 +290,12 @@ def test_choice_free_draw_matches_generator_choice():
         else:
             ints = meta.integers(0, two_m**2, k)
         theta = float(meta.choice([0.01, meta.uniform(1e-4, 1.0)]))
-        logits = np.asarray([float(x) * (2.0 / float(two_m) ** 2) for x in ints]) / theta
+        gains = [float(x) * (2.0 / float(two_m) ** 2) for x in ints]
+        logits = np.asarray(gains) / theta
         p = np.exp(logits - logits.max())
         seed = int(meta.integers(2**32))
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert _choice_free_draw(p, a) == int(b.choice(k, p=p / p.sum()))
+        assert _draw(gains, theta, a) == int(b.choice(k, p=p / p.sum()))
         assert a.random() == b.random()
 
 

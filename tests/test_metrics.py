@@ -59,6 +59,23 @@ def test_modularity_matches_double_sum_oracle():
             modularity_double_sum(g, cs), abs=1e-12)
 
 
+def test_modularity_matches_networkx():
+    """networkx's modularity as an independent oracle (tests only)."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        n = int(rng.integers(2, 80))
+        g = random_graph(rng, n, float(rng.uniform(0.02, 0.4)))
+        if g.m == 0:
+            continue
+        cs = random_partition(rng, n, int(rng.integers(1, n + 1)))
+        ng = nx.Graph()
+        ng.add_nodes_from(range(n))
+        ng.add_edges_from(zip(g.edge_u.tolist(), g.edge_v.tolist()))
+        expected = nx.community.modularity(ng, [set(c.tolist()) for c in cs.communities()])
+        assert modularity(g, cs) == pytest.approx(expected, abs=1e-12)
+
+
 def test_modularity_range_bound():
     rng = np.random.default_rng(29)
     for trial in range(30):

@@ -204,4 +204,7 @@ def test_config_validation():
         RunConfig(epochs=-1)
     with pytest.raises(ValueError):
         RunConfig(mode="no-such-mode")
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"parallel_runs must be >= 1, got {bad}"):
+            RunConfig(parallel_runs=bad)
     assert RunConfig(mode="lr-only").mode is RunMode.LR_ONLY
