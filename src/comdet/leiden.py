@@ -114,7 +114,7 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> b
         sigma_cv = sigma_tot[cv] - kv
         best_c = cv
         best_gain = scratch[cv] * two_m - sigma_cv * kv
-        # cv itself scores kv*kv below best_gain here, so it never wins
+        # cv scores kv*kv below staying when the loop meets it, so it never wins
         for c in touched:
             gain = scratch[c] * two_m - sigma_tot[c] * kv
             scratch[c] = 0
