@@ -16,7 +16,6 @@ from .graph import (
     split_into_components,
 )
 from .metrics import (
-    ConfusionMatrix,
     conductance,
     connectivity_score,
     f1_score,
@@ -64,7 +63,6 @@ __all__ = [
     "induced_subgraph",
     "merge_partitions",
     "split_into_components",
-    "ConfusionMatrix",
     "conductance",
     "connectivity_score",
     "f1_score",

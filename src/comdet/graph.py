@@ -36,19 +36,11 @@ class Graph:
         self.dropped_self_loops = int(loops.sum())
         arr = arr[~loops]
 
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        if lo.size:
-            codes = lo * np.int64(n) + hi
-            uniq, idx = np.unique(codes, return_index=True)
-            self.dropped_duplicates = int(codes.size - uniq.size)
-            order = np.sort(idx)
-            # keep first occurrences, then order canonically by (u, v)
-            lo, hi = lo[order], hi[order]
-            perm = np.lexsort((hi, lo))
-            lo, hi = lo[perm], hi[perm]
-        else:
-            self.dropped_duplicates = 0
+        # sorted distinct codes lo * n + hi are the canonical (u, v) order
+        codes = np.unique(np.minimum(arr[:, 0], arr[:, 1]) * np.int64(n)
+                          + np.maximum(arr[:, 0], arr[:, 1]))
+        self.dropped_duplicates = int(arr.shape[0] - codes.size)
+        lo, hi = np.divmod(codes, n)
 
         self.edge_u = lo
         self.edge_v = hi
@@ -126,10 +118,6 @@ class Partition:
 
     def members(self, c: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == c)
-
-    def canonical(self) -> "Partition":
-        """Relabel to dense ids in first-occurrence order."""
-        return Partition(canonical_labels(self.assignment))
 
     def equivalent_to(self, other: "Partition") -> bool:
         """True when both partitions induce the same co-membership relation."""

@@ -3,32 +3,24 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph, Partition, component_counts
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Contingency counts between two partitions of the same node set."""
+def _contingency(c: Partition, d: Partition) -> tuple[np.ndarray, ...]:
+    """Nonzero contingency cells (row-major) and the row and column sums.
 
-    counts: np.ndarray
-    row_sums: np.ndarray
-    col_sums: np.ndarray
-    n: int
-
-    @classmethod
-    def from_partitions(cls, c: Partition, d: Partition) -> "ConfusionMatrix":
-        if c.n != d.n:
-            raise ValueError(f"partition sizes differ: {c.n} vs {d.n}")
-        counts = np.zeros((c.k, d.k), dtype=np.int64)
-        np.add.at(counts, (c.assignment, d.assignment), 1)
-        return cls(counts=counts,
-                   row_sums=counts.sum(axis=1),
-                   col_sums=counts.sum(axis=0),
-                   n=c.n)
+    Returns ``(rows, cols, counts, row_sums, col_sums)``; ``counts[i]`` nodes
+    sit in community ``rows[i]`` of ``c`` and ``cols[i]`` of ``d``. Memory is
+    O(n), whatever ``c.k * d.k`` is.
+    """
+    if c.n != d.n:
+        raise ValueError(f"partition sizes differ: {c.n} vs {d.n}")
+    codes, counts = np.unique(c.assignment * d.k + d.assignment, return_counts=True)
+    rows, cols = np.divmod(codes, d.k)
+    return rows, cols, counts, c.sizes(), d.sizes()
 
 
 def modularity(g: Graph, cs: Partition) -> float:
@@ -56,11 +48,11 @@ def nmi(c: Partition, d: Partition) -> float:
     information (zero total entropy), returns 1.0 for identical partitions
     and 0.0 otherwise.
     """
-    cm = ConfusionMatrix.from_partitions(c, d)
-    n = float(cm.n)
-    counts = cm.counts.astype(np.float64)
-    ri = cm.row_sums.astype(np.float64)
-    cj = cm.col_sums.astype(np.float64)
+    rows, cols, counts, ri, cj = _contingency(c, d)
+    n = float(c.n)
+    counts = counts.astype(np.float64)
+    ri = ri.astype(np.float64)
+    cj = cj.astype(np.float64)
 
     denom = 0.0
     for s in (ri, cj):
@@ -69,9 +61,7 @@ def nmi(c: Partition, d: Partition) -> float:
     if denom == 0.0:
         return 1.0 if c.equivalent_to(d) else 0.0
 
-    nz = counts > 0
-    outer = ri[:, None] * cj[None, :]
-    numer = -2.0 * float(np.sum(counts[nz] * np.log(counts[nz] * n / outer[nz])))
+    numer = -2.0 * float(np.sum(counts * np.log(counts * n / (ri[rows] * cj[cols]))))
     return numer / denom
 
 
@@ -105,15 +95,15 @@ def f1_score(c: Partition, d: Partition) -> float:
     Precision and recall are computed over unordered co-assigned node pairs;
     returns 0 when precision + recall is 0.
     """
-    cm = ConfusionMatrix.from_partitions(c, d)
+    _, _, counts, row_sums, col_sums = _contingency(c, d)
 
     def pairs(x: np.ndarray) -> float:
         x = x.astype(np.float64)
         return float(np.sum(x * (x - 1.0) / 2.0))
 
-    tp = pairs(cm.counts.ravel())
-    pred = pairs(cm.row_sums)
-    ref = pairs(cm.col_sums)
+    tp = pairs(counts)
+    pred = pairs(row_sums)
+    ref = pairs(col_sums)
     precision = tp / pred if pred > 0 else 0.0
     recall = tp / ref if ref > 0 else 0.0
     if precision + recall == 0.0:

@@ -99,20 +99,9 @@ def _merge_down(g: Graph, members: np.ndarray, sub: Graph, part: Partition,
 
     m = g.m
     count = k
-    while count > target:
-        best_gain = None
-        best_pair = None
-        for pair in sorted(pair_e):
-            e = pair_e[pair]
-            if e <= 0:
-                continue
-            i, j = pair
-            gain = 2 * m * e - deg[i] * deg[j]
-            if best_gain is None or gain > best_gain:
-                best_gain, best_pair = gain, pair
-        if best_pair is None:
-            break  # only disconnected pairs remain
-        i, j = best_pair
+    while count > target and pair_e:  # stop once only disconnected pairs remain
+        i, j = max(pair_e, key=lambda p: (2 * m * pair_e[p] - deg[p[0]] * deg[p[1]],
+                                          -p[0], -p[1]))
         assign[assign == j] = i
         deg[i] += deg[j]
         folded: dict[tuple[int, int], int] = {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from comdet.graph import Graph, Partition
 from comdet.metrics import (
-    ConfusionMatrix,
+    _contingency,
     conductance,
     connectivity_score,
     f1_score,
@@ -166,12 +167,70 @@ def test_nmi_hand_computed_value():
 def test_confusion_matrix_sums():
     c = Partition([0, 0, 1, 2])
     d = Partition([0, 1, 1, 0])
-    cm = ConfusionMatrix.from_partitions(c, d)
-    assert cm.counts.tolist() == [[1, 1], [0, 1], [1, 0]]
-    assert cm.row_sums.tolist() == [2, 1, 1]
-    assert cm.col_sums.tolist() == [2, 2]
-    assert cm.n == 4
-    assert int(cm.counts.sum()) == cm.n
+    rows, cols, counts, row_sums, col_sums = _contingency(c, d)
+    # the dense table is [[1, 1], [0, 1], [1, 0]]; its nonzero cells, row-major
+    assert list(zip(rows.tolist(), cols.tolist(), counts.tolist())) == [
+        (0, 0, 1), (0, 1, 1), (1, 1, 1), (2, 0, 1)]
+    assert row_sums.tolist() == [2, 1, 1]
+    assert col_sums.tolist() == [2, 2]
+    assert int(counts.sum()) == c.n
+
+
+def _dense_nmi_f1(c: Partition, d: Partition) -> tuple[float, float]:
+    """NMI and pairwise F1 from the full dense k_c x k_d contingency table."""
+    table = np.zeros((c.k, d.k), dtype=np.int64)
+    np.add.at(table, (c.assignment, d.assignment), 1)
+    n = float(c.n)
+    counts = table.astype(np.float64)
+    ri = table.sum(axis=1).astype(np.float64)
+    cj = table.sum(axis=0).astype(np.float64)
+
+    denom = 0.0
+    for s in (ri, cj):
+        nz = s > 0
+        denom += float(np.sum(s[nz] * np.log(s[nz] / n)))
+    if denom == 0.0:
+        score = 1.0 if c.equivalent_to(d) else 0.0
+    else:
+        nz = counts > 0
+        outer = ri[:, None] * cj[None, :]
+        numer = -2.0 * float(np.sum(counts[nz] * np.log(counts[nz] * n / outer[nz])))
+        score = numer / denom
+
+    def pairs(x: np.ndarray) -> float:
+        return float(np.sum(x * (x - 1.0) / 2.0))
+
+    tp, pred, ref = pairs(counts.ravel()), pairs(ri), pairs(cj)
+    precision = tp / pred if pred > 0 else 0.0
+    recall = tp / ref if ref > 0 else 0.0
+    f1 = (2.0 * precision * recall / (precision + recall)
+          if precision + recall != 0.0 else 0.0)
+    return score, f1
+
+
+def test_nmi_and_f1_equal_dense_contingency_exactly():
+    rng = np.random.default_rng(61)
+    for trial in range(600):
+        n = int(rng.integers(1, 400))
+        # cycle k through 1, n, n - 1 and a random count, in both roles
+        ks = [1, n, max(n - 1, 1), int(rng.integers(1, n + 1))]
+        c = random_partition(rng, n, ks[trial % 4])
+        d = random_partition(rng, n, ks[(trial // 4) % 4])
+        assert (nmi(c, d), f1_score(c, d)) == _dense_nmi_f1(c, d)
+
+
+def test_nmi_and_f1_memory_is_linear_in_n():
+    # the dense table for two singleton partitions at n = 2000 is 32 MB
+    c = Partition(np.arange(2000))
+    d = Partition(np.arange(2000))
+    tracemalloc.start()
+    try:
+        nmi(c, d)
+        f1_score(c, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_nmi_size_mismatch():
