@@ -32,7 +32,7 @@ from .gcn import (
     save_checkpoint,
     train,
 )
-from .loss import LossConfig, PairwiseTarget, pairwise_loss, total_loss
+from .loss import PairwiseTarget, pairwise_loss, total_loss
 from .birch import BirchConfig, ClusteringFeature, birch_cluster
 from .data_io import (
     DataError,
@@ -80,7 +80,6 @@ __all__ = [
     "normalized_adjacency",
     "save_checkpoint",
     "train",
-    "LossConfig",
     "PairwiseTarget",
     "pairwise_loss",
     "total_loss",

@@ -28,7 +28,7 @@ from .data_io import (
     write_results,
 )
 from .gcn import save_checkpoint
-from .leiden import LeidenConfig, best_of_runs, check_run_counts
+from .leiden import best_of_runs, check_run_counts
 from .metrics import connectivity_score, modularity
 from .pipeline import RunConfig, RunMode, metric_report, resolve_mu, run
 from .refine import RefineConfig, ThresholdRule, refine_labels
@@ -36,22 +36,6 @@ from .refine import RefineConfig, ThresholdRule, refine_labels
 __all__ = ["entry", "main"]
 
 _ENV_OUT = "COMDET_OUT_DIR"
-
-_RUN_DEFAULTS: dict = {
-    "mu": None,
-    "epochs": 300,
-    "lr": 0.001,
-    "hidden_dims": (256, 128, 64),
-    "leiden_runs": 30,
-    "refine_runs": 10,
-    "threshold_rule": "half-components",
-    "birch_threshold": 0.5,
-    "branching_factor": 50,
-    "seed": 0,
-    "mode": "full",
-    "parallel_runs": 1,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; the contract says 1."""
@@ -88,50 +72,57 @@ def _parse_dims(text) -> tuple[int, int, int]:
     return dims  # type: ignore[return-value]
 
 
-def _settings(args) -> dict:
-    """Resolve run settings: flags beat the config file beat the defaults."""
-    merged = dict(_RUN_DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        p = _require_file(config_path, "--config")
+# run settings by --config key (= flag dest): the RunConfig section that
+# holds the field (None for RunConfig itself), the field, and its parser
+_SETTINGS = {
+    "mu": (None, "mu", lambda v: None if v is None else float(v)),
+    "epochs": (None, "epochs", int),
+    "lr": (None, "learning_rate", float),
+    "hidden_dims": (None, "hidden_dims", _parse_dims),
+    "leiden_runs": (None, "leiden_global_runs", int),
+    "refine_runs": ("refine", "leiden_runs", int),
+    "threshold_rule": ("refine", "threshold_rule", ThresholdRule),
+    "birch_threshold": ("birch", "threshold_radius", float),
+    "branching_factor": ("birch", "branching_factor", int),
+    "seed": (None, "seed", int),
+    "mode": (None, "mode", RunMode),
+    "parallel_runs": (None, "parallel_runs", int),
+}
+
+
+def _run_config(args) -> RunConfig:
+    """The run's config from the settings given: flags beat the config file,
+    which beats the dataclass defaults. A setting of the wrong type or range
+    is a data error."""
+    given = {}
+    if getattr(args, "config", None) is not None:
+        p = _require_file(args.config, "--config")
         try:
-            loaded = json.loads(p.read_text())
+            given = json.loads(p.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"--config: cannot parse {p}: {exc}") from exc
-        if not isinstance(loaded, dict):
+        if not isinstance(given, dict):
             raise DataError(f"--config: {p} must hold a JSON object")
-        unknown = sorted(set(loaded) - set(merged))
+        unknown = sorted(set(given) - set(_SETTINGS))
         if unknown:
             raise DataError(f"--config: unknown keys {unknown}; "
-                            f"known keys: {sorted(merged)}")
-        merged.update(loaded)
-    for key in _RUN_DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    merged["hidden_dims"] = _parse_dims(merged["hidden_dims"])
-    return merged
-
-
-def _run_config(settings: dict) -> RunConfig:
-    """Build the run's config; a setting of the wrong type or range is a data error."""
+                            f"known keys: {sorted(_SETTINGS)}")
+    given.update((key, getattr(args, key)) for key in _SETTINGS
+                 if getattr(args, key, None) is not None)
+    fields: dict = {None: {}, "refine": {}, "birch": {}}
     try:
-        return RunConfig(
-            mu=None if settings["mu"] is None else float(settings["mu"]),
-            leiden_global_runs=int(settings["leiden_runs"]),
-            refine=RefineConfig(leiden_runs=int(settings["refine_runs"]),
-                                threshold_rule=ThresholdRule(settings["threshold_rule"])),
-            epochs=int(settings["epochs"]),
-            learning_rate=float(settings["lr"]),
-            hidden_dims=settings["hidden_dims"],
-            birch=BirchConfig(threshold_radius=float(settings["birch_threshold"]),
-                              branching_factor=int(settings["branching_factor"])),
-            seed=int(settings["seed"]),
-            mode=RunMode(settings["mode"]),
-            parallel_runs=int(settings["parallel_runs"]),
-        )
+        for key, value in given.items():
+            section, name, parse = _SETTINGS[key]
+            fields[section][name] = parse(value)
+        return RunConfig(refine=RefineConfig(**fields["refine"]),
+                         birch=BirchConfig(**fields["birch"]), **fields[None])
     except (TypeError, ValueError) as exc:
         raise DataError(str(exc)) from exc
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
 
 
 def _metric_table(metrics: dict) -> str:
@@ -157,8 +148,7 @@ def _load_bundle(args):
 
 def _cmd_detect(args) -> int:
     bundle = _load_bundle(args)
-    settings = _settings(args)
-    cfg = _run_config(settings)
+    cfg = _run_config(args)
     if args.cmd == "ablate" and cfg.mode is RunMode.FULL:
         raise DataError("--mode: ablate needs an ablation mode "
                         "(lm-only, lr-only, unrefined-labels, modified-split)")
@@ -186,10 +176,10 @@ def _cmd_leiden(args) -> int:
         check_run_counts(args.runs, args.parallel_runs)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+    _check_seed(args.seed)
     bundle = _load_bundle(args)
     g = bundle.graph
-    cfg = LeidenConfig(seed=args.seed)
-    part = best_of_runs(g, args.runs, lambda p: modularity(g, p), config=cfg,
+    part = best_of_runs(g, args.runs, lambda p: modularity(g, p), seed=args.seed,
                         parallel=args.parallel_runs)
     record = {"Q": modularity(g, part), "communities": part.k}
     if args.out is not None:
@@ -205,14 +195,15 @@ def _cmd_leiden(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    bundle = _load_bundle(args)
-    g, labels = bundle.graph, bundle.labels
     try:
-        rule = ThresholdRule(args.threshold_rule)
-        cfg = RefineConfig(leiden_runs=args.runs, threshold_rule=rule, seed=args.seed)
+        cfg = RefineConfig(leiden_runs=args.runs,
+                           threshold_rule=ThresholdRule(args.threshold_rule))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    refined = refine_labels(g, labels, cfg)
+    _check_seed(args.seed)
+    bundle = _load_bundle(args)
+    g, labels = bundle.graph, bundle.labels
+    refined = refine_labels(g, labels, cfg, seed=args.seed)
     record = {
         "labels": labels.k,
         "refined": refined.k,
@@ -224,7 +215,7 @@ def _cmd_refine(args) -> int:
     if args.out is not None:
         write_results(Path(args.out), refined, record,
                       {"runs": args.runs, "seed": args.seed,
-                       "threshold_rule": rule.value},
+                       "threshold_rule": cfg.threshold_rule.value},
                       node_ids=bundle.node_ids)
     if args.json:
         print(json.dumps(record, sort_keys=True, indent=2))
@@ -281,27 +272,32 @@ def _add_bundle_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_run_flags(p: argparse.ArgumentParser, mode_required: bool) -> None:
     p.add_argument("--mu", type=float, help="weight of the refined-label loss term")
-    p.add_argument("--epochs", type=int, help="training epochs (default 300)")
-    p.add_argument("--lr", type=float, help="Adam learning rate (default 0.001)")
+    p.add_argument("--epochs", type=int,
+                   help=f"training epochs (default {RunConfig.epochs})")
+    p.add_argument("--lr", type=float,
+                   help=f"Adam learning rate (default {RunConfig.learning_rate})")
     p.add_argument("--hidden-dims", dest="hidden_dims", metavar="D1,D2,D3",
-                   help="encoder layer sizes (default 256,128,64)")
+                   help="encoder layer sizes (default "
+                        f"{','.join(map(str, RunConfig.hidden_dims))})")
     p.add_argument("--leiden-runs", dest="leiden_runs", type=int,
-                   help="global Leiden repeats (default 30)")
+                   help=f"global Leiden repeats (default {RunConfig.leiden_global_runs})")
     p.add_argument("--refine-runs", dest="refine_runs", type=int,
-                   help="per-label Leiden repeats (default 10)")
+                   help=f"per-label Leiden repeats (default {RefineConfig.leiden_runs})")
     p.add_argument("--threshold-rule", dest="threshold_rule",
                    choices=[r.value for r in ThresholdRule],
-                   help="refinement merge-down threshold (default half-components)")
+                   help="refinement merge-down threshold "
+                        f"(default {RefineConfig.threshold_rule.value})")
     p.add_argument("--birch-threshold", dest="birch_threshold", type=float,
-                   help="CF absorb radius (default 0.5)")
+                   help=f"CF absorb radius (default {BirchConfig.threshold_radius})")
     p.add_argument("--branching-factor", dest="branching_factor", type=int,
-                   help="CF-tree fanout (default 50)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
+                   help=f"CF-tree fanout (default {BirchConfig.branching_factor})")
+    p.add_argument("--seed", type=int, help=f"master seed (default {RunConfig.seed})")
     p.add_argument("--mode", required=mode_required,
                    choices=[m.value for m in RunMode],
-                   help="pipeline variant (default full)")
+                   help=f"pipeline variant (default {RunConfig.mode.value})")
     p.add_argument("--parallel-runs", dest="parallel_runs", type=int,
-                   help="processes for independent Leiden repeats (default 1)")
+                   help="processes for independent Leiden repeats "
+                        f"(default {RunConfig.parallel_runs})")
     p.add_argument("--config", help="JSON file with any of the above settings")
     p.add_argument("--out", default=_default_out(),
                    help=f"output directory (default ${_ENV_OUT} or comdet-out)")
@@ -327,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("leiden", help="modularity optimization alone")
     _add_bundle_flags(p)
-    p.add_argument("--runs", type=int, default=30, help="seeded repeats (default 30)")
+    p.add_argument("--runs", type=int, default=RunConfig.leiden_global_runs,
+                   help="seeded repeats (default %(default)s)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--parallel-runs", dest="parallel_runs", type=int, default=1)
     p.add_argument("--out", help="write assignment.tsv and metrics.json here")
@@ -336,10 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("refine", help="split labels into connected sub-communities")
     _add_bundle_flags(p)
-    p.add_argument("--runs", type=int, default=10, help="per-label repeats (default 10)")
+    p.add_argument("--runs", type=int, default=RefineConfig.leiden_runs,
+                   help="per-label repeats (default %(default)s)")
     p.add_argument("--threshold-rule", dest="threshold_rule",
                    choices=[r.value for r in ThresholdRule],
-                   default="half-components")
+                   default=RefineConfig.threshold_rule.value)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the refined assignment here")
     p.add_argument("--json", action="store_true")

@@ -73,15 +73,10 @@ class GcnModel:
         self.in_dim = int(in_dim)
         self.hidden_dims = tuple(int(d) for d in hidden_dims)
         self.seed = int(seed)
-        self.weights: list[np.ndarray] = []
-        self.reinit(seed)
-
-    def reinit(self, seed: int) -> None:
-        """Fresh Glorot-uniform weights drawn from the given seed."""
+        # Glorot-uniform weights drawn from the seed
         rng = np.random.default_rng(seed)
-        self.seed = int(seed)
         dims = (self.in_dim, *self.hidden_dims)
-        self.weights = []
+        self.weights: list[np.ndarray] = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             self.weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
@@ -214,19 +209,15 @@ class TrainingDiverged(RuntimeError):
 
 
 def train(model: GcnModel, x, loss_provider, epochs: int = 300,
-          learning_rate: float = 0.001, seed: int | None = None
-          ) -> tuple[GcnModel, list[float]]:
+          learning_rate: float = 0.001) -> tuple[GcnModel, list[float]]:
     """Optimize the model full-batch; returns the model and per-epoch losses.
 
     ``loss_provider`` maps an embedding to ``(loss, d_loss/d_embedding)``.
-    Passing ``seed`` re-initializes the weights first. Zero epochs (or a zero
-    learning rate) leave the weights untouched. Â·X is propagated once, before
-    the first epoch.
+    Zero epochs (or a zero learning rate) leave the weights untouched. Â·X is
+    propagated once, before the first epoch.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
-    if seed is not None:
-        model.reinit(seed)
     ax0 = model.propagate(x)
     adam = AdamState.for_weights(model.weights, lr=learning_rate)
     trace: list[float] = []

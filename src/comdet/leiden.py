@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .graph import Graph, Partition, canonical_labels, split_into_components
 class LeidenConfig:
     """Knobs for :func:`leiden`. Quality is fixed to modularity at resolution 1."""
 
-    seed: int | np.random.SeedSequence | None = 0
     max_passes: int = 20
     theta: float = 0.01
 
@@ -269,13 +269,15 @@ def _one_pass(g: Graph, start: np.ndarray, rng: np.random.Generator,
     return canonical_labels(flat)
 
 
-def leiden(g: Graph, config: LeidenConfig | None = None) -> Partition:
+def leiden(g: Graph, config: LeidenConfig | None = None,
+           seed: int | np.random.SeedSequence | None = 0) -> Partition:
     """Detect communities by modularity optimization.
 
-    Deterministic for a given seed. Edgeless graphs come back as singletons.
+    Deterministic for a given ``seed`` (anything ``np.random.default_rng``
+    takes). Edgeless graphs come back as singletons.
     """
     cfg = config if config is not None else LeidenConfig()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     comm = np.arange(g.n, dtype=np.int64)
     prev = comm.copy()
     for _ in range(cfg.max_passes):
@@ -288,11 +290,6 @@ def leiden(g: Graph, config: LeidenConfig | None = None) -> Partition:
     return Partition(comm)
 
 
-def _run_one(args) -> Partition:
-    g, cfg = args
-    return leiden(g, cfg)
-
-
 def check_run_counts(runs: int, parallel: int) -> None:
     """Raise ``ValueError`` naming the value unless ``runs`` and ``parallel`` are >= 1."""
     if runs < 1:
@@ -302,30 +299,30 @@ def check_run_counts(runs: int, parallel: int) -> None:
 
 
 def best_of_runs(g: Graph, runs: int, score, config: LeidenConfig | None = None,
+                 seed: int | np.random.SeedSequence | None = 0,
                  parallel: int = 1) -> Partition:
     """Best scoring partition over ``runs`` seeded Leiden runs.
 
     ``score`` maps a partition to a real number; ties go to the lowest run
-    index. Run seeds are spawned deterministically from the config seed (an
+    index. Run seeds are spawned deterministically from ``seed`` (an
     integer, a numpy integer or a ``SeedSequence``, whose spawn key they
     extend; ``None`` counts as 0), so repeated calls reproduce the same
     winner. When ``min(parallel, runs) > 1`` the runs go to a process pool
     of that many workers; results match the serial ones.
     """
     check_run_counts(runs, parallel)
-    cfg = config if config is not None else LeidenConfig()
-    if isinstance(cfg.seed, np.random.SeedSequence):
-        entropy, key = cfg.seed.entropy, cfg.seed.spawn_key
+    if isinstance(seed, np.random.SeedSequence):
+        entropy, key = seed.entropy, seed.spawn_key
     else:
-        entropy, key = (0 if cfg.seed is None else int(cfg.seed)), ()
+        entropy, key = (0 if seed is None else int(seed)), ()
     seeds = [np.random.SeedSequence(entropy=entropy, spawn_key=key + (i,))
              for i in range(runs)]
-    configs = [replace(cfg, seed=s) for s in seeds]
+    one_run = partial(leiden, g, config)
     workers = min(parallel, runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_one, [(g, c) for c in configs]))
+            parts = list(pool.map(one_run, seeds))
     else:
-        parts = [leiden(g, c) for c in configs]
+        parts = [one_run(s) for s in seeds]
     scores = np.asarray([float(score(p)) for p in parts])
     return parts[int(np.argmax(scores))]

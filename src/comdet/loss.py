@@ -7,8 +7,6 @@ S^T X, so cost stays O(n d (d + k)) in time and O(n (d + 1)) in memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -51,18 +49,9 @@ def pairwise_loss(target: PairwiseTarget, x_e: np.ndarray) -> tuple[float, np.nd
     return value, grad
 
 
-@dataclass
-class LossConfig:
-    """Weight of the refined-label term added to the partition-target term."""
-
-    mu: float = 0.5
-
-
 def total_loss(target_main: PairwiseTarget, target_refined: PairwiseTarget,
-               x_e: np.ndarray, config: LossConfig | None = None
-               ) -> tuple[float, np.ndarray]:
+               x_e: np.ndarray, mu: float = 0.5) -> tuple[float, np.ndarray]:
     """Combined loss: main pairwise term plus ``mu`` times the refined term."""
-    cfg = config if config is not None else LossConfig()
     lm, gm = pairwise_loss(target_main, x_e)
     lr, gr = pairwise_loss(target_refined, x_e)
-    return lm + cfg.mu * lr, gm + cfg.mu * gr
+    return lm + mu * lr, gm + mu * gr

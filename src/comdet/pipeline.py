@@ -11,7 +11,7 @@ or split disconnected output communities as a post-process.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -21,7 +21,7 @@ from .data_io import DatasetBundle
 from .gcn import GcnModel, train
 from .graph import Graph, Partition, split_into_components
 from .leiden import LeidenConfig, best_of_runs
-from .loss import LossConfig, PairwiseTarget, pairwise_loss, total_loss
+from .loss import PairwiseTarget, pairwise_loss, total_loss
 from .metrics import conductance, connectivity_score, f1_score, modularity, nmi
 from .refine import RefineConfig, refine_labels
 
@@ -65,11 +65,7 @@ def resolve_mu(name: str, explicit: float | None = None) -> float:
 
 @dataclass
 class RunConfig:
-    """Settings of one pipeline run.
-
-    ``seed`` is the only seed a run reads: the seeds inside ``leiden``,
-    ``refine`` and ``refine.leiden`` are replaced by ones derived from it.
-    """
+    """Settings of one pipeline run; every stage seed is derived from ``seed``."""
 
     mu: float | None = None
     leiden_global_runs: int = 30
@@ -92,6 +88,8 @@ class RunConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.parallel_runs < 1:
             raise ValueError(f"parallel_runs must be >= 1, got {self.parallel_runs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def snapshot(self, bundle_name: str) -> dict:
         """JSON-ready record of every resolved setting."""
@@ -165,32 +163,31 @@ def run(bundle: DatasetBundle, cfg: RunConfig | None = None) -> RunResult:
 
     # stage 1: global modularity target, selected by label agreement when the
     # labels are informative, by modularity itself otherwise
-    lcfg = replace(cfg.leiden, seed=_derived_seed(cfg.seed, 0))
     if labels.k > 1:
         score = lambda p: nmi(p, labels)
     else:
         score = lambda p: modularity(g, p)
     cs_l = staged("leiden", lambda: best_of_runs(
-        g, cfg.leiden_global_runs, score, config=lcfg, parallel=cfg.parallel_runs))
+        g, cfg.leiden_global_runs, score, config=cfg.leiden,
+        seed=_derived_seed(cfg.seed, 0), parallel=cfg.parallel_runs))
 
     # stage 2: connected sub-communities from the human labels
     if cfg.mode is RunMode.UNREFINED_LABELS:
         cs_r = labels
         timings["refine"] = 0.0
     else:
-        rcfg = replace(cfg.refine, seed=_derived_seed(cfg.seed, 1))
-        cs_r = staged("refine", lambda: refine_labels(g, labels, rcfg))
+        cs_r = staged("refine", lambda: refine_labels(
+            g, labels, cfg.refine, seed=_derived_seed(cfg.seed, 1)))
 
     # stage 3: train the encoder against the composite pairwise objective
     target_l = PairwiseTarget(cs_l)
     target_r = PairwiseTarget(cs_r)
-    loss_cfg = LossConfig(mu=mu)
     if cfg.mode is RunMode.LM_ONLY:
         provider = lambda xe: pairwise_loss(target_l, xe)
     elif cfg.mode is RunMode.LR_ONLY:
         provider = lambda xe: pairwise_loss(target_r, xe)
     else:
-        provider = lambda xe: total_loss(target_l, target_r, xe, loss_cfg)
+        provider = lambda xe: total_loss(target_l, target_r, xe, mu)
 
     model = GcnModel(g, in_dim=bundle.t, hidden_dims=cfg.hidden_dims,
                      seed=_derived_seed(cfg.seed, 2))

@@ -10,7 +10,7 @@ share no edge, so every refined community stays internally connected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -38,25 +38,25 @@ class ThresholdRule(str, Enum):
 class RefineConfig:
     leiden_runs: int = 10
     threshold_rule: ThresholdRule = ThresholdRule.HALF_COMPONENTS
-    seed: int = 0
-    leiden: LeidenConfig | None = None  # template for per-label runs (seed ignored)
+    leiden: LeidenConfig | None = None  # settings of the per-label runs
 
     def __post_init__(self) -> None:
         if self.leiden_runs < 1:
             raise ValueError(f"leiden_runs must be >= 1, got {self.leiden_runs}")
 
 
-def refine_labels(g: Graph, labels: Partition, config: RefineConfig | None = None) -> Partition:
+def refine_labels(g: Graph, labels: Partition, config: RefineConfig | None = None,
+                  seed: int = 0) -> Partition:
     """Split every labeled community into connected sub-communities.
 
     Returns a refinement of ``labels``: no refined community crosses a label
     boundary, every refined community is connected, and global modularity
-    never drops below that of ``labels``.
+    never drops below that of ``labels``. The Leiden runs inside label ``c``
+    are seeded from ``SeedSequence(entropy=seed, spawn_key=(c,))``.
     """
     cfg = config if config is not None else RefineConfig()
     if labels.n != g.n:
         raise ValueError("labels do not cover the graph")
-    template = cfg.leiden if cfg.leiden is not None else LeidenConfig()
     counts = component_counts(g, labels)
     inners = []
     for c in range(labels.k):
@@ -65,9 +65,9 @@ def refine_labels(g: Graph, labels: Partition, config: RefineConfig | None = Non
         if sub.m == 0:
             part = Partition(np.arange(sub.n))
         else:
-            seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(c,))
             part = best_of_runs(sub, cfg.leiden_runs, lambda p: modularity(sub, p),
-                                config=replace(template, seed=seed))
+                                config=cfg.leiden,
+                                seed=np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
         inners.append(_merge_down(g, members, sub, part, int(counts[c]), cfg.threshold_rule))
     return merge_partitions(labels, inners)
 

@@ -29,11 +29,11 @@ from comdet.data_io import (
 )
 from comdet.gcn import GcnModel
 from comdet.graph import Graph, Partition, component_counts, split_into_components
-from comdet.leiden import LeidenConfig, best_of_runs, leiden
-from comdet.loss import LossConfig, PairwiseTarget, total_loss
+from comdet.leiden import best_of_runs, leiden
+from comdet.loss import PairwiseTarget, total_loss
 from comdet.metrics import connectivity_score, modularity, nmi
 from comdet.pipeline import RunConfig, RunMode, run
-from comdet.refine import RefineConfig, refine_labels
+from comdet.refine import refine_labels
 
 from conftest import (
     all_partitions,
@@ -114,16 +114,15 @@ def test_criterion_02_end_to_end_gradients(capsys):
         x = rng.normal(size=(n, t))
         target_m = PairwiseTarget(random_partition(rng, n, int(rng.integers(1, 4))))
         target_r = PairwiseTarget(random_partition(rng, n, int(rng.integers(1, 4))))
-        cfg = LossConfig(mu=0.5)
         model = GcnModel(g, t, (5, 4, 3), seed=seed)
 
         xe, cache = model.forward(model.propagate(x))
-        _, d_xe = total_loss(target_m, target_r, xe, cfg)
+        _, d_xe = total_loss(target_m, target_r, xe, 0.5)
         grads = model.backward(cache, d_xe)
 
         def value() -> float:
             out, _ = model.forward(model.propagate(x))
-            return total_loss(target_m, target_r, out, cfg)[0]
+            return total_loss(target_m, target_r, out, 0.5)[0]
 
         for li, w in enumerate(model.weights):
             for idx in np.ndindex(w.shape):
@@ -189,7 +188,7 @@ def test_criterion_03_leiden_connected_and_move_stable(capsys):
         if n > 150:
             p = min(p, 0.05)
         g = random_graph(rng, n, min(p, 1.0))
-        part = leiden(g, LeidenConfig(seed=trial))
+        part = leiden(g, seed=trial)
         if (component_counts(g, part) != 1).any():
             disconnected += 1
         if n <= 200 and g.m > 0:
@@ -236,7 +235,7 @@ def test_criterion_04_leiden_near_optimal_small_graphs(capsys):
         g = random_connected_graph(rng, n, 0.5)
         target = _exhaustive_best_q(g)
         got = best_of_runs(g, 5, lambda p: modularity(g, p),
-                           config=LeidenConfig(seed=trial))
+                           seed=trial)
         q = modularity(g, got)
         if q > target + 1e-9:
             above += 1
@@ -250,7 +249,7 @@ def test_criterion_04_leiden_near_optimal_small_graphs(capsys):
              + [(3, 4)])
     bridge = Graph(8, edges)
     bridged = best_of_runs(bridge, 5, lambda p: modularity(bridge, p),
-                           config=LeidenConfig(seed=0))
+                           seed=0)
     bridge_ok = bridged.equivalent_to(Partition([0, 0, 0, 0, 1, 1, 1, 1]))
 
     problems = []
@@ -284,7 +283,7 @@ def test_criterion_05_refinement_invariants(capsys):
             problems.append(f"seed {spec.seed}: fixture does not have half its "
                             f"labels disconnected (components {label_comps.tolist()})")
             continue
-        refined = refine_labels(g, labels, RefineConfig(seed=7 + s))
+        refined = refine_labels(g, labels, seed=7 + s)
         refined_total += refined.k
         for members in refined.communities():
             if np.unique(labels.assignment[members]).size != 1:

@@ -78,6 +78,9 @@ def test_runtime_failure_exits_3(tmp_path, capsys, monkeypatch):
     ("detect", ["--parallel-runs", "-3"], "parallel_runs must be >= 1, got -3"),
     ("leiden", ["--parallel-runs", "0"], "parallel must be >= 1, got 0"),
     ("leiden", ["--runs", "0"], "runs must be >= 1, got 0"),
+    ("detect", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("leiden", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("refine", ["--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_bad_settings_exit_2_before_any_stage(tmp_path, capsys, monkeypatch,
                                               cmd, flags, needle):
@@ -216,14 +219,16 @@ def test_config_file_precedence(tmp_path, capsys):
     data = _fixture(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"epochs": 7, "hidden_dims": [16, 8, 6],
-                               "leiden_runs": 2}))
+                               "leiden_runs": 2, "mu": None}))
     out = tmp_path / "o1"
     code = main(["detect", "--edges", str(data / "edges.tsv"),
                  "--attrs", str(data / "attrs.csv"),
-                 "--labels", str(data / "labels.tsv"),
+                 "--labels", str(data / "labels.tsv"), "--name", "citeseer",
                  "--config", str(cfg), "--out", str(out)])
     assert code == 0
     assert len(json.loads((out / "metrics.json").read_text())["loss_trace"]) == 7
+    # a null mu resolves to the network's default
+    assert json.loads((out / "config.json").read_text())["mu"] == pipeline.MU_DEFAULTS["citeseer"]
 
     out2 = tmp_path / "o2"  # explicit flag beats the config file
     code = main(["detect", "--edges", str(data / "edges.tsv"),
@@ -232,6 +237,11 @@ def test_config_file_precedence(tmp_path, capsys):
                  "--config", str(cfg), "--epochs", "3", "--out", str(out2)])
     assert code == 0
     assert len(json.loads((out2 / "metrics.json").read_text())["loss_trace"]) == 3
+
+
+def test_bare_detect_resolves_to_the_dataclass_defaults():
+    args = cli.build_parser().parse_args(["detect", "--edges", "e", "--labels", "l"])
+    assert cli._run_config(args) == pipeline.RunConfig()
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):

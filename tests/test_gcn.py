@@ -25,7 +25,7 @@ from comdet.gcn import (
     train,
 )
 from comdet.graph import Graph, Partition
-from comdet.loss import LossConfig, PairwiseTarget, total_loss
+from comdet.loss import PairwiseTarget, total_loss
 
 from conftest import random_connected_graph, random_graph, random_partition
 
@@ -136,7 +136,7 @@ def test_embedding_geometry_invariants():
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(47)
-    cfg = LossConfig(mu=0.7)
+    mu = 0.7
     h = 1e-5
     worst = 0.0
     for trial in range(6):
@@ -153,10 +153,10 @@ def test_gradients_match_finite_differences():
             saved, model.weights = model.weights, weights
             xe, _ = model.forward(model.propagate(x))
             model.weights = saved
-            return total_loss(tm, tr, xe, cfg)[0]
+            return total_loss(tm, tr, xe, mu)[0]
 
         xe, cache = model.forward(model.propagate(x))
-        _, d_xe = total_loss(tm, tr, xe, cfg)
+        _, d_xe = total_loss(tm, tr, xe, mu)
         grads = model.backward(cache, d_xe)
         for li, w in enumerate(model.weights):
             for idx in [(0, 0), (w.shape[0] - 1, w.shape[1] - 1),
@@ -183,7 +183,7 @@ def _rel(a: np.ndarray, b: np.ndarray) -> float:
 
 def test_factored_first_layer_matches_dense_reference():
     rng = np.random.default_rng(67)
-    cfg = LossConfig(mu=0.7)
+    mu = 0.7
     # a smaller step than the dense test's: at 1e-5 one entry's central
     # difference is off by 2e-4 from curvature alone
     h = 1e-6
@@ -205,7 +205,7 @@ def test_factored_first_layer_matches_dense_reference():
         xe_ref, cache_ref = model.forward(aslinearoperator(model.a_norm @ x))
         xe, cache = model.forward(ax0)
         assert _rel(xe, xe_ref) <= 1e-12
-        _, d_xe = total_loss(tm, tr, xe_ref, cfg)
+        _, d_xe = total_loss(tm, tr, xe_ref, mu)
         grads_ref = model.backward(cache_ref, d_xe)
         grads = model.backward(cache, d_xe)
         assert all(_rel(a, b) <= 1e-12 for a, b in zip(grads, grads_ref))
@@ -214,7 +214,7 @@ def test_factored_first_layer_matches_dense_reference():
             saved, model.weights = model.weights, weights
             out, _ = model.forward(ax0)
             model.weights = saved
-            return total_loss(tm, tr, out, cfg)[0]
+            return total_loss(tm, tr, out, mu)[0]
 
         # central differences on the factored form, including a first-layer
         # weight whose attribute column is nonzero somewhere
@@ -255,7 +255,7 @@ def test_train_reduces_loss():
     target = PairwiseTarget(random_partition(rng, 20, 4))
 
     def provider(xe):
-        value, grad = total_loss(target, target, xe, LossConfig(mu=0.0))
+        value, grad = total_loss(target, target, xe, 0.0)
         return value, grad
 
     model = GcnModel(g, in_dim=6, hidden_dims=(8, 6, 4), seed=5)
@@ -273,7 +273,7 @@ def test_train_zero_epochs_and_zero_lr_keep_weights():
     target = PairwiseTarget(Partition([0, 0, 1]))
 
     def provider(xe):
-        value, grad = total_loss(target, target, xe, LossConfig(mu=1.0))
+        value, grad = total_loss(target, target, xe, 1.0)
         return value, grad
 
     _, trace = train(model, x, provider, epochs=0)
@@ -302,15 +302,13 @@ def test_training_diverged_carries_diagnostics():
     assert "epoch 0" in str(err)
 
 
-def test_reinit_determinism():
+def test_init_is_deterministic_given_seed():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     m1 = GcnModel(g, in_dim=3, hidden_dims=(4, 3, 2), seed=9)
     m2 = GcnModel(g, in_dim=3, hidden_dims=(4, 3, 2), seed=9)
+    m3 = GcnModel(g, in_dim=3, hidden_dims=(4, 3, 2), seed=10)
     assert all(np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
-    m2.reinit(10)
-    assert any(not np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
-    m2.reinit(9)
-    assert all(np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
+    assert any(not np.array_equal(a, b) for a, b in zip(m1.weights, m3.weights))
 
 
 def test_train_is_deterministic():
@@ -320,7 +318,7 @@ def test_train_is_deterministic():
     target = PairwiseTarget(random_partition(rng, 12, 3))
 
     def provider(xe):
-        return total_loss(target, target, xe, LossConfig(mu=0.5))
+        return total_loss(target, target, xe, 0.5)
 
     runs = []
     for _ in range(2):

@@ -53,26 +53,26 @@ def single_move_improvements(g: Graph, p: Partition) -> int:
 
 
 def test_recovers_two_cliques_joined_by_bridge(two_cliques_bridge):
-    p = leiden(two_cliques_bridge, LeidenConfig(seed=0))
+    p = leiden(two_cliques_bridge, seed=0)
     assert p.k == 2
     assert p.equivalent_to(Partition([0, 0, 0, 0, 1, 1, 1, 1]))
 
 
 def test_edgeless_graph_gives_singletons():
-    p = leiden(Graph(7), LeidenConfig(seed=3))
+    p = leiden(Graph(7), seed=3)
     assert p.k == 7
 
 
 def test_single_node():
-    p = leiden(Graph(1), LeidenConfig(seed=0))
+    p = leiden(Graph(1), seed=0)
     assert p.assignment.tolist() == [0]
 
 
 def test_deterministic_given_seed():
     g = random_graph(np.random.default_rng(8), 80, 0.06)
     for seed in (0, 1, 99):
-        p1 = leiden(g, LeidenConfig(seed=seed))
-        p2 = leiden(g, LeidenConfig(seed=seed))
+        p1 = leiden(g, seed=seed)
+        p2 = leiden(g, seed=seed)
         assert p1 == p2
 
 
@@ -81,7 +81,7 @@ def test_communities_always_connected():
     for trial in range(40):
         n = int(rng.integers(4, 150))
         g = random_graph(rng, n, float(rng.uniform(0.02, 0.15)))
-        p = leiden(g, LeidenConfig(seed=trial))
+        p = leiden(g, seed=trial)
         for c in range(p.k):
             members = np.flatnonzero(p.assignment == c)
             assert connected_components(g, members).k == 1
@@ -94,7 +94,7 @@ def test_local_move_fixpoint_exhaustive():
         g = random_graph(rng, n, float(rng.uniform(0.03, 0.2)))
         if g.m == 0:
             continue
-        p = leiden(g, LeidenConfig(seed=trial))
+        p = leiden(g, seed=trial)
         assert single_move_improvements(g, p) == 0
 
 
@@ -106,7 +106,7 @@ def test_never_beats_brute_force_and_usually_matches():
         n = int(rng.integers(3, 9))
         g = random_connected_graph(rng, n, float(rng.uniform(0.2, 0.6)))
         best = brute_force_best_q(g)
-        got = max(modularity(g, leiden(g, LeidenConfig(seed=s))) for s in range(5))
+        got = max(modularity(g, leiden(g, seed=s)) for s in range(5))
         assert got <= best + 1e-9
         if got >= best - 1e-9:
             hits += 1
@@ -120,7 +120,7 @@ def test_modularity_never_decreases_vs_singletons():
         g = random_graph(rng, n, 0.1)
         if g.m == 0:
             continue
-        p = leiden(g, LeidenConfig(seed=trial))
+        p = leiden(g, seed=trial)
         q_single = modularity(g, Partition(np.arange(n)))
         assert modularity(g, p) >= q_single - 1e-12
 
@@ -128,13 +128,13 @@ def test_modularity_never_decreases_vs_singletons():
 def test_best_of_runs_scores_and_tie_break():
     g = random_graph(np.random.default_rng(12), 50, 0.08)
     # constant score: ties resolved to the first run
-    first = leiden(g, LeidenConfig(seed=np.random.SeedSequence(entropy=0, spawn_key=(0,))))
-    chosen = best_of_runs(g, 4, lambda p: 1.0, config=LeidenConfig(seed=0))
+    first = leiden(g, seed=np.random.SeedSequence(entropy=0, spawn_key=(0,)))
+    chosen = best_of_runs(g, 4, lambda p: 1.0, seed=0)
     assert chosen == first
     # modularity score: winner's Q is the max over the individual runs
     seeds = [np.random.SeedSequence(entropy=0, spawn_key=(i,)) for i in range(4)]
-    qs = [modularity(g, leiden(g, LeidenConfig(seed=s))) for s in seeds]
-    best = best_of_runs(g, 4, lambda p: modularity(g, p), config=LeidenConfig(seed=0))
+    qs = [modularity(g, leiden(g, seed=s)) for s in seeds]
+    best = best_of_runs(g, 4, lambda p: modularity(g, p), seed=0)
     assert modularity(g, best) == pytest.approx(max(qs), abs=1e-15)
 
 
@@ -177,9 +177,9 @@ def test_best_of_runs_pool_has_at_most_one_worker_per_run(monkeypatch):
     monkeypatch.setattr(leiden_module, "ProcessPoolExecutor", _SerialPool)
     g = random_graph(np.random.default_rng(33), 40, 0.1)
     score = lambda p: modularity(g, p)  # noqa: E731
-    serial = best_of_runs(g, 3, score, config=LeidenConfig(seed=5))
+    serial = best_of_runs(g, 3, score, seed=5)
     for parallel, workers in ((2, 2), (3, 3), (8, 3)):
-        assert best_of_runs(g, 3, score, config=LeidenConfig(seed=5),
+        assert best_of_runs(g, 3, score, seed=5,
                             parallel=parallel) == serial
         assert _SerialPool.sizes[-1] == workers
     best_of_runs(g, 1, score, parallel=4)  # one run, one worker: no pool
@@ -188,8 +188,8 @@ def test_best_of_runs_pool_has_at_most_one_worker_per_run(monkeypatch):
 
 def test_parallel_runs_match_sequential():
     g = random_graph(np.random.default_rng(33), 60, 0.07)
-    seq = best_of_runs(g, 4, lambda p: modularity(g, p), config=LeidenConfig(seed=5))
-    par = best_of_runs(g, 4, lambda p: modularity(g, p), config=LeidenConfig(seed=5),
+    seq = best_of_runs(g, 4, lambda p: modularity(g, p), seed=5)
+    par = best_of_runs(g, 4, lambda p: modularity(g, p), seed=5,
                        parallel=2)
     assert seq == par
 
@@ -197,14 +197,14 @@ def test_parallel_runs_match_sequential():
 def test_seeded_outputs_are_pinned():
     """Literal outputs, so a refactor that changes seeded results fails here."""
     g = random_graph(np.random.default_rng(2024), 60, 0.08)
-    assert leiden(g, LeidenConfig(seed=0)).assignment.tolist() == [
+    assert leiden(g, seed=0).assignment.tolist() == [
         0, 1, 2, 3, 3, 3, 0, 0, 4, 3, 1, 1, 2, 5, 4, 1, 3, 4, 4, 0, 4, 2, 2, 3, 1, 3, 1, 1, 2, 0,
         5, 3, 3, 3, 4, 0, 4, 0, 1, 0, 4, 5, 0, 1, 1, 0, 1, 1, 1, 0, 3, 0, 5, 2, 5, 5, 3, 2, 5, 1]
-    assert leiden(g, LeidenConfig(seed=7)).assignment.tolist() == [
+    assert leiden(g, seed=7).assignment.tolist() == [
         0, 1, 2, 3, 3, 3, 0, 4, 5, 0, 6, 1, 2, 6, 5, 1, 0, 5, 3, 4, 5, 2, 2, 7, 1, 0, 4, 1, 2, 0,
         6, 7, 7, 3, 5, 0, 5, 4, 6, 0, 5, 3, 0, 1, 6, 0, 1, 1, 6, 0, 7, 0, 7, 2, 7, 6, 3, 5, 7, 2]
     labels = Partition(np.arange(60) % 3)
-    refined = refine_labels(g, labels, RefineConfig(seed=3, leiden_runs=3))
+    refined = refine_labels(g, labels, RefineConfig(leiden_runs=3), seed=3)
     assert refined.assignment.tolist() == [
         0, 5, 9, 0, 5, 9, 0, 5, 10, 0, 5, 11, 0, 6, 11, 0, 6, 11, 1, 5, 11, 0, 5, 9, 1, 6, 9, 0,
         5, 12, 2, 6, 9, 0, 7, 9, 0, 5, 13, 0, 8, 11, 0, 5, 9, 0, 5, 9, 0, 5, 9, 0, 6, 9, 3, 6, 9,
@@ -223,10 +223,10 @@ def test_seeded_outputs_are_pinned_on_a_block_model():
     blocks = random_partition(rng, 1500, 30)
     g = block_model(rng, blocks, 0.12, 0.0015)
     assert (g.n, g.m) == (1500, 6196)
-    assert _sha256(leiden(g, LeidenConfig(seed=0))) == (
+    assert _sha256(leiden(g, seed=0)) == (
         "de423d8ac90da5f99742d95e9b7bb1f47755b71fd137b09d1e8142fed02e7a23")
     labels = Partition(blocks.assignment // 2)
-    refined = refine_labels(g, labels, RefineConfig(seed=0, leiden_runs=2))
+    refined = refine_labels(g, labels, RefineConfig(leiden_runs=2), seed=0)
     assert _sha256(refined) == (
         "73a447b315d3bc87ea8ba82baba637f4d8aac06ef12a86fe1ce8d734e04bfd72")
 
@@ -336,7 +336,7 @@ def test_best_of_runs_honours_numpy_and_seed_sequence_seeds():
     g = random_graph(np.random.default_rng(40), 60, 0.08)
 
     def pick(seed):
-        return best_of_runs(g, 3, lambda p: modularity(g, p), config=LeidenConfig(seed=seed))
+        return best_of_runs(g, 3, lambda p: modularity(g, p), seed=seed)
 
     five = pick(5)
     assert five != pick(0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from comdet.graph import Partition
-from comdet.loss import LossConfig, PairwiseTarget, pairwise_loss, total_loss
+from comdet.loss import PairwiseTarget, pairwise_loss, total_loss
 
 from conftest import random_partition
 
@@ -88,7 +88,7 @@ def test_total_loss_combines_terms_linearly():
     lm, gm = pairwise_loss(tm, x)
     lr, gr = pairwise_loss(tr, x)
     for mu in (0.0, 0.2, 10.0):
-        value, grad = total_loss(tm, tr, x, LossConfig(mu=mu))
+        value, grad = total_loss(tm, tr, x, mu)
         assert value == pytest.approx(lm + mu * lr, rel=1e-14)
         assert np.allclose(grad, gm + mu * gr, atol=1e-14)
 

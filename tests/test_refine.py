@@ -15,7 +15,7 @@ from comdet.graph import (
     induced_subgraph,
     split_into_components,
 )
-from comdet.leiden import LeidenConfig, best_of_runs
+from comdet.leiden import best_of_runs
 from comdet.metrics import modularity
 from comdet.refine import RefineConfig, ThresholdRule, refine_labels
 
@@ -44,14 +44,14 @@ def test_connected_labels_pass_through_unchanged():
     rng = np.random.default_rng(1)
     g, block = _two_blocks_graph(rng, [12, 14], p_in=0.7, p_between=0.05)
     labels = Partition(block)
-    refined = refine_labels(g, labels, RefineConfig(seed=0))
+    refined = refine_labels(g, labels, seed=0)
     assert refined.equivalent_to(labels)
 
 
 def test_two_disjoint_triangles_stay_separate():
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     labels = Partition([0, 0, 0, 0, 0, 0])
-    refined = refine_labels(g, labels, RefineConfig(seed=0))
+    refined = refine_labels(g, labels, seed=0)
     assert refined.k == 2
     assert pair_set(refined) == {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}
 
@@ -59,7 +59,7 @@ def test_two_disjoint_triangles_stay_separate():
 def test_single_node_label_passes_through():
     g = Graph(4, [(0, 1), (1, 2)])
     labels = Partition([0, 0, 0, 1])
-    refined = refine_labels(g, labels, RefineConfig(seed=0))
+    refined = refine_labels(g, labels, seed=0)
     assert refined.assignment[3] not in refined.assignment[:3]
 
 
@@ -70,7 +70,7 @@ def test_refinement_relation_and_connectivity():
         g = random_graph(rng, n, 0.15)
         k = int(rng.integers(1, 5))
         labels = Partition(canonical_labels(rng.integers(0, k, size=n)))
-        refined = refine_labels(g, labels, RefineConfig(seed=trial))
+        refined = refine_labels(g, labels, seed=trial)
         # refinement: each refined community sits inside exactly one label
         for c in range(refined.k):
             members = np.flatnonzero(refined.assignment == c)
@@ -86,7 +86,7 @@ def test_modularity_never_drops():
         if g.m == 0:
             continue
         labels = Partition(canonical_labels(rng.integers(0, 3, size=n)))
-        refined = refine_labels(g, labels, RefineConfig(seed=trial))
+        refined = refine_labels(g, labels, seed=trial)
         assert modularity(g, refined) >= modularity(g, labels) - 1e-12
 
 
@@ -100,7 +100,7 @@ def test_outcome_is_one_community_per_label_component():
             g = random_graph(rng, n, 0.08)
             labels = Partition(canonical_labels(rng.integers(0, 3, size=n)))
             refined = refine_labels(
-                g, labels, RefineConfig(seed=trial, threshold_rule=rule))
+                g, labels, RefineConfig(threshold_rule=rule), seed=trial)
             assert refined.equivalent_to(split_into_components(g, labels))
 
 
@@ -108,8 +108,8 @@ def test_deterministic_given_seed():
     rng = np.random.default_rng(23)
     g = random_graph(rng, 40, 0.1)
     labels = Partition(canonical_labels(rng.integers(0, 3, size=40)))
-    a = refine_labels(g, labels, RefineConfig(seed=9))
-    b = refine_labels(g, labels, RefineConfig(seed=9))
+    a = refine_labels(g, labels, seed=9)
+    b = refine_labels(g, labels, seed=9)
     assert a == b
 
 
@@ -128,13 +128,13 @@ def test_incremental_merge_matches_naive_full_recompute():
         if g.m == 0:
             continue
         labels = Partition(np.zeros(n, dtype=np.int64))  # single label: whole graph
-        cfg = RefineConfig(seed=trial)
-        refined = refine_labels(g, labels, cfg)
+        cfg = RefineConfig()
+        refined = refine_labels(g, labels, cfg, seed=trial)
 
         # naive reference with the same step-1 result
-        seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
+        seed = np.random.SeedSequence(entropy=trial, spawn_key=(0,))
         part = best_of_runs(g, cfg.leiden_runs, lambda p: modularity(g, p),
-                            config=LeidenConfig(seed=seed))
+                            seed=seed)
         comp_count = connected_components(g).k
         target = max(math.ceil(comp_count / 2.0), 1)
         assign = part.assignment.copy()

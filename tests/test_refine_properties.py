@@ -34,7 +34,7 @@ def labelled_graphs(draw) -> tuple[Graph, Partition]:
 def test_refinement_invariants_hold(graph_and_labels, seed, rule):
     g, labels = graph_and_labels
     refined = refine_labels(g, labels,
-                            RefineConfig(leiden_runs=2, seed=seed, threshold_rule=rule))
+                            RefineConfig(leiden_runs=2, threshold_rule=rule), seed=seed)
     assert refined.n == g.n
     # refines the labels: each refined community lies inside a single label
     pairs = np.unique(refined.assignment * labels.k + labels.assignment)
