@@ -10,7 +10,6 @@ synthetic benchmark generator.
 from .graph import (
     Graph,
     Partition,
-    connected_components,
     induced_subgraph,
     merge_partitions,
     split_into_components,
@@ -33,7 +32,7 @@ from .gcn import (
     train,
 )
 from .loss import PairwiseTarget, pairwise_loss, total_loss
-from .birch import BirchConfig, ClusteringFeature, birch_cluster
+from .birch import BirchConfig, birch_cluster
 from .data_io import (
     DataError,
     DatasetBundle,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph",
     "Partition",
-    "connected_components",
     "induced_subgraph",
     "merge_partitions",
     "split_into_components",
@@ -84,7 +82,6 @@ __all__ = [
     "pairwise_loss",
     "total_loss",
     "BirchConfig",
-    "ClusteringFeature",
     "birch_cluster",
     "DataError",
     "DatasetBundle",

@@ -18,34 +18,7 @@ import numpy as np
 
 from .graph import Partition
 
-__all__ = ["BirchConfig", "ClusteringFeature", "birch_cluster"]
-
-
-@dataclass
-class ClusteringFeature:
-    """Sufficient statistics of a cluster: count, linear sum, squared sum."""
-
-    n: int
-    ls: np.ndarray
-    ss: float
-
-    @classmethod
-    def from_point(cls, x: np.ndarray) -> "ClusteringFeature":
-        return cls(1, np.array(x, dtype=np.float64), float(x @ x))
-
-    def __add__(self, other: "ClusteringFeature") -> "ClusteringFeature":
-        return ClusteringFeature(self.n + other.n, self.ls + other.ls,
-                                 self.ss + other.ss)
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.ls / self.n
-
-    @property
-    def radius(self) -> float:
-        c = self.ls / self.n
-        var = self.ss / self.n - float(c @ c)
-        return math.sqrt(max(var, 0.0))
+__all__ = ["BirchConfig", "birch_cluster"]
 
 
 @dataclass(frozen=True)
@@ -90,6 +63,13 @@ class _Node:
         self.children[i:j] = children
 
 
+def _radius(n, ls: np.ndarray, ss: float) -> float:
+    """Radius of the cluster with count ``n``, linear sum ``ls`` and squared sum ``ss``."""
+    c = ls / n
+    var = ss / n - float(c @ c)
+    return math.sqrt(max(var, 0.0))
+
+
 def _sqdist(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Squared distance of each row to ``point``, one dot product per row.
 
@@ -130,8 +110,8 @@ def _insert(node: _Node, point: np.ndarray, pp: float, row: int,
     if node.leaf:
         if k:
             i = int(np.argmin(_sqdist(node.cent, point)))
-            merged = ClusteringFeature(node.n[i] + 1, node.ls[i] + point, node.ss[i] + pp)
-            if merged.radius <= cfg.threshold_radius:
+            if _radius(node.n[i] + 1, node.ls[i] + point,
+                       node.ss[i] + pp) <= cfg.threshold_radius:
                 node.absorb(i, point, pp)
                 node.children[i].append(row)
                 return None

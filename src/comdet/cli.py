@@ -28,7 +28,7 @@ from .data_io import (
     write_results,
 )
 from .gcn import save_checkpoint
-from .leiden import best_of_runs, check_run_counts
+from .leiden import best_of_runs
 from .metrics import connectivity_score, modularity
 from .pipeline import RunConfig, RunMode, metric_report, resolve_mu, run
 from .refine import RefineConfig, ThresholdRule, refine_labels
@@ -56,20 +56,12 @@ def _require_file(path, flag: str) -> Path:
     return p
 
 
-def _parse_dims(text) -> tuple[int, int, int]:
-    if isinstance(text, (list, tuple)):
-        parts = list(text)
-    else:
-        parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) != 3:
-        raise DataError(f"hidden dims must be three sizes, got {text!r}")
+def _parse_dims(text) -> tuple[int, ...]:
+    parts = text if isinstance(text, (list, tuple)) else str(text).split(",")
     try:
-        dims = tuple(int(p) for p in parts)
+        return tuple(int(p) for p in parts)
     except ValueError as exc:
         raise DataError(f"bad hidden dims {text!r}: {exc}") from exc
-    if min(dims) < 1:
-        raise DataError(f"hidden dims must be positive sizes, got {text!r}")
-    return dims  # type: ignore[return-value]
 
 
 # run settings by --config key (= flag dest): the RunConfig section that
@@ -120,11 +112,6 @@ def _run_config(args) -> RunConfig:
         raise DataError(str(exc)) from exc
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise DataError(f"seed must be >= 0, got {seed}")
-
-
 def _metric_table(metrics: dict) -> str:
     lines = [f"{'metric':<12}{'value':>8}"]
     for key in ("Q", "NMI", "Con", "F1"):
@@ -172,19 +159,15 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_leiden(args) -> int:
-    try:
-        check_run_counts(args.runs, args.parallel_runs)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    _check_seed(args.seed)
+    cfg = _run_config(args)
     bundle = _load_bundle(args)
     g = bundle.graph
-    part = best_of_runs(g, args.runs, lambda p: modularity(g, p), seed=args.seed,
-                        parallel=args.parallel_runs)
+    part = best_of_runs(g, cfg.leiden_global_runs, lambda p: modularity(g, p),
+                        seed=cfg.seed, parallel=cfg.parallel_runs)
     record = {"Q": modularity(g, part), "communities": part.k}
     if args.out is not None:
         write_results(Path(args.out), part, record,
-                      {"runs": args.runs, "seed": args.seed},
+                      {"runs": cfg.leiden_global_runs, "seed": cfg.seed},
                       node_ids=bundle.node_ids)
     if args.json:
         print(json.dumps(record, sort_keys=True, indent=2))
@@ -195,15 +178,10 @@ def _cmd_leiden(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    try:
-        cfg = RefineConfig(leiden_runs=args.runs,
-                           threshold_rule=ThresholdRule(args.threshold_rule))
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    _check_seed(args.seed)
+    cfg = _run_config(args)
     bundle = _load_bundle(args)
     g, labels = bundle.graph, bundle.labels
-    refined = refine_labels(g, labels, cfg, seed=args.seed)
+    refined = refine_labels(g, labels, cfg.refine, seed=cfg.seed)
     record = {
         "labels": labels.k,
         "refined": refined.k,
@@ -214,8 +192,8 @@ def _cmd_refine(args) -> int:
     }
     if args.out is not None:
         write_results(Path(args.out), refined, record,
-                      {"runs": args.runs, "seed": args.seed,
-                       "threshold_rule": cfg.threshold_rule.value},
+                      {"runs": cfg.refine.leiden_runs, "seed": cfg.seed,
+                       "threshold_rule": cfg.refine.threshold_rule.value},
                       node_ids=bundle.node_ids)
     if args.json:
         print(json.dumps(record, sort_keys=True, indent=2))
@@ -323,22 +301,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("leiden", help="modularity optimization alone")
     _add_bundle_flags(p)
-    p.add_argument("--runs", type=int, default=RunConfig.leiden_global_runs,
-                   help="seeded repeats (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallel-runs", dest="parallel_runs", type=int, default=1)
+    p.add_argument("--runs", dest="leiden_runs", metavar="RUNS", type=int,
+                   help=f"seeded repeats (default {RunConfig.leiden_global_runs})")
+    p.add_argument("--seed", type=int, help=f"master seed (default {RunConfig.seed})")
+    p.add_argument("--parallel-runs", dest="parallel_runs", type=int,
+                   help="processes for independent repeats "
+                        f"(default {RunConfig.parallel_runs})")
     p.add_argument("--out", help="write assignment.tsv and metrics.json here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_leiden)
 
     p = sub.add_parser("refine", help="split labels into connected sub-communities")
     _add_bundle_flags(p)
-    p.add_argument("--runs", type=int, default=RefineConfig.leiden_runs,
-                   help="per-label repeats (default %(default)s)")
+    p.add_argument("--runs", dest="refine_runs", metavar="RUNS", type=int,
+                   help=f"per-label repeats (default {RefineConfig.leiden_runs})")
     p.add_argument("--threshold-rule", dest="threshold_rule",
                    choices=[r.value for r in ThresholdRule],
-                   default=RefineConfig.threshold_rule.value)
-    p.add_argument("--seed", type=int, default=0)
+                   help="merge-down threshold "
+                        f"(default {RefineConfig.threshold_rule.value})")
+    p.add_argument("--seed", type=int, help=f"master seed (default {RunConfig.seed})")
     p.add_argument("--out", help="write the refined assignment here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_refine)

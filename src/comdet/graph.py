@@ -55,13 +55,6 @@ class Graph:
         self.degrees = counts.astype(np.int64)
         assert int(self.degrees.sum()) == 2 * self.m
 
-    def neighbors(self, i: int) -> np.ndarray:
-        """Sorted neighbor indices of node ``i`` (a view, do not mutate)."""
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
-    def degree(self, i: int) -> int:
-        return int(self.degrees[i])
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -116,9 +109,6 @@ class Partition:
         bounds = np.cumsum(self.sizes())
         return [np.sort(chunk) for chunk in np.split(order, bounds[:-1])]
 
-    def members(self, c: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == c)
-
     def equivalent_to(self, other: "Partition") -> bool:
         """True when both partitions induce the same co-membership relation."""
         if self.n != other.n or self.k != other.k:
@@ -150,23 +140,8 @@ def canonical_labels(labels: np.ndarray) -> np.ndarray:
     return rank[inverse]
 
 
-def connected_components(g: Graph, nodes=None) -> Partition:
-    """Connected components of ``g`` restricted to ``nodes`` (all nodes when None).
-
-    Returns a partition aligned with the given node order (position ``i`` of
-    the result is the component of ``nodes[i]``); component ids are dense in
-    order of each component's first position in ``nodes``.
-    """
-    sub = g if nodes is None else induced_subgraph(g, nodes)[0]
-    return split_into_components(sub, Partition(np.zeros(sub.n, dtype=np.int64)))
-
-
-def induced_subgraph(g: Graph, nodes) -> tuple[Graph, dict[int, int]]:
-    """Subgraph on ``nodes`` plus the old-to-new index map.
-
-    New indices follow the order of ``nodes``, so the map is a bijection onto
-    ``0..len(nodes)-1``.
-    """
+def induced_subgraph(g: Graph, nodes) -> Graph:
+    """Subgraph on ``nodes``; node ``i`` of the result is ``nodes[i]``."""
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size and (nodes.min() < 0 or nodes.max() >= g.n):
         raise ValueError("subset node out of range")
@@ -176,9 +151,7 @@ def induced_subgraph(g: Graph, nodes) -> tuple[Graph, dict[int, int]]:
     pos[nodes] = np.arange(nodes.size)
     u, v = pos[g.edge_u], pos[g.edge_v]
     keep = (u >= 0) & (v >= 0)
-    sub = Graph(int(nodes.size), np.stack([u[keep], v[keep]], axis=1))
-    index_map = {int(old): int(new) for new, old in enumerate(nodes)}
-    return sub, index_map
+    return Graph(int(nodes.size), np.stack([u[keep], v[keep]], axis=1))
 
 
 def merge_partitions(outer: Partition, inners) -> Partition:

@@ -290,14 +290,6 @@ def leiden(g: Graph, config: LeidenConfig | None = None,
     return Partition(comm)
 
 
-def check_run_counts(runs: int, parallel: int) -> None:
-    """Raise ``ValueError`` naming the value unless ``runs`` and ``parallel`` are >= 1."""
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if parallel < 1:
-        raise ValueError(f"parallel must be >= 1, got {parallel}")
-
-
 def best_of_runs(g: Graph, runs: int, score, config: LeidenConfig | None = None,
                  seed: int | np.random.SeedSequence | None = 0,
                  parallel: int = 1) -> Partition:
@@ -310,7 +302,10 @@ def best_of_runs(g: Graph, runs: int, score, config: LeidenConfig | None = None,
     winner. When ``min(parallel, runs) > 1`` the runs go to a process pool
     of that many workers; results match the serial ones.
     """
-    check_run_counts(runs, parallel)
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
     if isinstance(seed, np.random.SeedSequence):
         entropy, key = seed.entropy, seed.spawn_key
     else:

@@ -10,8 +10,9 @@ or split disconnected output communities as a post-process.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -90,26 +91,19 @@ class RunConfig:
             raise ValueError(f"parallel_runs must be >= 1, got {self.parallel_runs}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.mu is not None and not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        if len(self.hidden_dims) != 3 or min(self.hidden_dims) < 1:
+            raise ValueError(
+                f"hidden_dims must be three positive sizes, got {self.hidden_dims}")
 
     def snapshot(self, bundle_name: str) -> dict:
-        """JSON-ready record of every resolved setting."""
-        return {
-            "network": bundle_name,
-            "mu": resolve_mu(bundle_name, self.mu),
-            "leiden_global_runs": self.leiden_global_runs,
-            "leiden": {"max_passes": self.leiden.max_passes,
-                       "theta": self.leiden.theta},
-            "refine": {"leiden_runs": self.refine.leiden_runs,
-                       "threshold_rule": str(self.refine.threshold_rule.value)},
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "hidden_dims": list(self.hidden_dims),
-            "birch": {"threshold_radius": self.birch.threshold_radius,
-                      "branching_factor": self.birch.branching_factor},
-            "seed": self.seed,
-            "mode": self.mode.value,
-            "parallel_runs": self.parallel_runs,
-        }
+        """JSON-ready record of every setting, with the network and resolved mu."""
+        return {**asdict(self), "network": bundle_name,
+                "mu": resolve_mu(bundle_name, self.mu)}
 
 
 @dataclass

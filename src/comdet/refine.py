@@ -61,7 +61,7 @@ def refine_labels(g: Graph, labels: Partition, config: RefineConfig | None = Non
     inners = []
     for c in range(labels.k):
         members = np.flatnonzero(labels.assignment == c)
-        sub, _ = induced_subgraph(g, members)
+        sub = induced_subgraph(g, members)
         if sub.m == 0:
             part = Partition(np.arange(sub.n))
         else:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from dataclasses import dataclass
 
 for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
@@ -25,6 +26,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
 import numpy as np
 import pytest
 
+from comdet.birch import _radius
 from comdet.graph import Graph, Partition, canonical_labels
 
 
@@ -168,3 +170,28 @@ def merge_step(g: Graph, current: Partition, candidates=None) -> Partition:
     merged = a.copy()
     merged[merged == j] = i
     return Partition(canonical_labels(merged))
+
+
+@dataclass
+class ClusteringFeature:
+    """Sufficient statistics of a cluster: count, linear sum, squared sum."""
+
+    n: int
+    ls: np.ndarray
+    ss: float
+
+    @classmethod
+    def from_point(cls, x: np.ndarray) -> "ClusteringFeature":
+        return cls(1, np.array(x, dtype=np.float64), float(x @ x))
+
+    def __add__(self, other: "ClusteringFeature") -> "ClusteringFeature":
+        return ClusteringFeature(self.n + other.n, self.ls + other.ls,
+                                 self.ss + other.ss)
+
+    @property
+    def centroid(self) -> np.ndarray:
+        return self.ls / self.n
+
+    @property
+    def radius(self) -> float:
+        return _radius(self.n, self.ls, self.ss)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from comdet.birch import BirchConfig, ClusteringFeature, birch_cluster
+from comdet.birch import BirchConfig, birch_cluster
 from comdet.data_io import (
     SyntheticSpec,
     generate_synthetic,
@@ -36,6 +36,7 @@ from comdet.pipeline import RunConfig, RunMode, run
 from comdet.refine import refine_labels
 
 from conftest import (
+    ClusteringFeature,
     all_partitions,
     merge_step,
     modularity_double_sum,
@@ -161,7 +162,7 @@ def _single_move_improvements(g: Graph, p: Partition) -> int:
     for v in range(g.n):
         cv = int(a[v])
         w: dict[int, int] = {}
-        for u in g.neighbors(v):
+        for u in g.indices[g.indptr[v]:g.indptr[v + 1]]:
             cu = int(a[u])
             w[cu] = w.get(cu, 0) + 1
         base = (w.get(cv, 0) / m

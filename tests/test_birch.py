@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from comdet.birch import BirchConfig, ClusteringFeature, birch_cluster
+from comdet.birch import BirchConfig, _radius, birch_cluster
 from comdet.graph import Partition
+
+from conftest import ClusteringFeature
 
 
 def _cf_of(points: np.ndarray) -> ClusteringFeature:
@@ -29,16 +31,15 @@ def test_cf_radius_matches_direct_recomputation():
     rng = np.random.default_rng(5)
     for trial in range(20):
         pts = rng.normal(size=(int(rng.integers(1, 30)), 3))
-        cf = _cf_of(pts)
+        radius = _radius(pts.shape[0], pts.sum(axis=0), float((pts ** 2).sum()))
         direct = np.sqrt(np.mean(np.sum((pts - pts.mean(axis=0)) ** 2, axis=1)))
-        assert cf.radius == pytest.approx(float(direct), abs=1e-9)
-        assert np.allclose(cf.centroid, pts.mean(axis=0), atol=1e-12)
+        assert radius == pytest.approx(float(direct), abs=1e-9)
+        assert np.allclose(_cf_of(pts).centroid, pts.mean(axis=0), atol=1e-12)
 
 
 def test_cf_single_point_radius_zero():
-    cf = ClusteringFeature.from_point(np.array([0.3, -0.7]))
-    assert cf.n == 1
-    assert cf.radius == 0.0
+    x = np.array([0.3, -0.7])
+    assert _radius(1, x, float(x @ x)) == 0.0
 
 
 def test_identical_rows_single_community():

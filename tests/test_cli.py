@@ -71,16 +71,24 @@ def test_runtime_failure_exits_3(tmp_path, capsys, monkeypatch):
     ("detect", ["--epochs", "-1"], "epochs must be >= 0, got -1"),
     ("detect", ["--leiden-runs", "0"], "leiden_global_runs must be >= 1, got 0"),
     ("detect", ["--refine-runs", "0"], "leiden_runs must be >= 1, got 0"),
-    ("detect", ["--hidden-dims", "0,1,1"], "hidden dims must be positive sizes, got '0,1,1'"),
+    ("detect", ["--hidden-dims", "0,1,1"], "hidden_dims must be three positive sizes, got (0, 1, 1)"),
     ("detect", {"epochs": "abc"}, "'abc'"),
     ("detect", {"mu": "abc"}, "'abc'"),
     ("refine", ["--runs", "0"], "leiden_runs must be >= 1, got 0"),
     ("detect", ["--parallel-runs", "-3"], "parallel_runs must be >= 1, got -3"),
-    ("leiden", ["--parallel-runs", "0"], "parallel must be >= 1, got 0"),
+    ("leiden", ["--parallel-runs", "0"], "parallel_runs must be >= 1, got 0"),
     ("leiden", ["--runs", "0"], "runs must be >= 1, got 0"),
     ("detect", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("leiden", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("refine", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("detect", ["--lr", "nan"], "learning_rate must be finite and > 0, got nan"),
+    ("detect", ["--lr", "inf"], "learning_rate must be finite and > 0, got inf"),
+    ("detect", ["--lr", "-1"], "learning_rate must be finite and > 0, got -1.0"),
+    ("detect", ["--lr", "0"], "learning_rate must be finite and > 0, got 0.0"),
+    ("detect", ["--mu", "nan"], "mu must be finite and >= 0, got nan"),
+    ("detect", ["--mu", "inf"], "mu must be finite and >= 0, got inf"),
+    ("detect", ["--mu", "-1"], "mu must be finite and >= 0, got -1.0"),
+    ("detect", ["--hidden-dims", "1,2"], "hidden_dims must be three positive sizes, got (1, 2)"),
 ])
 def test_bad_settings_exit_2_before_any_stage(tmp_path, capsys, monkeypatch,
                                               cmd, flags, needle):
@@ -241,6 +249,12 @@ def test_config_file_precedence(tmp_path, capsys):
 
 def test_bare_detect_resolves_to_the_dataclass_defaults():
     args = cli.build_parser().parse_args(["detect", "--edges", "e", "--labels", "l"])
+    assert cli._run_config(args) == pipeline.RunConfig()
+
+
+@pytest.mark.parametrize("cmd", ["leiden", "refine"])
+def test_bare_leiden_and_refine_resolve_to_the_dataclass_defaults(cmd):
+    args = cli.build_parser().parse_args([cmd, "--edges", "e", "--labels", "l"])
     assert cli._run_config(args) == pipeline.RunConfig()
 
 

@@ -21,7 +21,7 @@ from comdet.data_io import (
     write_bundle,
     write_results,
 )
-from comdet.graph import Graph, Partition, connected_components
+from comdet.graph import Graph, Partition, component_counts
 
 
 def _write(tmp_path, name, text):
@@ -255,7 +255,7 @@ def test_adjacency_as_features_examples():
                    if rng.random() < 0.3])
     x = adjacency_as_features(g).toarray()
     for i in range(10):
-        assert np.array_equal(np.flatnonzero(x[i]), g.neighbors(i))
+        assert np.array_equal(np.flatnonzero(x[i]), g.indices[g.indptr[i]:g.indptr[i + 1]])
 
 
 def test_attribute_free_load_stays_sparse(tmp_path):
@@ -293,8 +293,10 @@ def test_sparse_attributes_validate_and_write_dense_rows(tmp_path):
 def test_synthetic_cliques_labels_equal_components():
     spec = SyntheticSpec(n=20, k=2, p_in=1.0, p_out=0.0, t=4, s=0.5, seed=3)
     bundle = generate_synthetic(spec)
-    comps = connected_components(bundle.graph)
-    assert comps.equivalent_to(bundle.labels)
+    # each label is connected and the graph has one component per label
+    assert component_counts(bundle.graph, bundle.labels).tolist() == [1, 1]
+    whole = Partition(np.zeros(bundle.n, dtype=np.int64))
+    assert component_counts(bundle.graph, whole).tolist() == [2]
     assert bundle.planted == bundle.labels
 
 
@@ -304,12 +306,10 @@ def test_synthetic_disconnected_label_example():
     bundle = generate_synthetic(spec)
     assert bundle.labels.k == 2
     assert bundle.planted.k == 4
-    counts = [connected_components(bundle.graph, bundle.labels.members(c)).k
-              for c in range(bundle.labels.k)]
-    assert counts == [2, 2]
+    assert component_counts(bundle.graph, bundle.labels).tolist() == [2, 2]
     # planted blocks refine the united labels
     for c in range(bundle.planted.k):
-        members = bundle.planted.members(c)
+        members = np.flatnonzero(bundle.planted.assignment == c)
         assert len(set(bundle.labels.assignment[members])) == 1
 
 
@@ -318,14 +318,14 @@ def test_synthetic_zero_signal_is_label_independent():
     bundle = generate_synthetic(spec)
     worst = 0.0
     for b in range(4):
-        members = bundle.planted.members(b)
+        members = np.flatnonzero(bundle.planted.assignment == b)
         means = bundle.attributes[members].mean(axis=0)
         worst = max(worst, float(np.abs(means - 0.5).max()))
     assert worst < 0.1  # ~4.5 sigma for 500 Bernoulli(0.5) draws
 
     strong = generate_synthetic(
         SyntheticSpec(n=2000, k=4, p_in=0.01, p_out=0.005, t=4, s=0.8, seed=5))
-    means0 = strong.attributes[strong.planted.members(0)].mean(axis=0)
+    means0 = strong.attributes[strong.planted.assignment == 0].mean(axis=0)
     assert means0[0] > 0.8 and means0[1:].max() < 0.2
 
 
@@ -344,8 +344,7 @@ def test_synthetic_determinism():
 def test_synthetic_blocks_internally_connected():
     spec = SyntheticSpec(n=50, k=5, p_in=0.11, p_out=0.01, t=5, s=0.5, seed=13)
     bundle = generate_synthetic(spec)
-    for b in range(5):
-        assert connected_components(bundle.graph, bundle.planted.members(b)).k == 1
+    assert component_counts(bundle.graph, bundle.planted).tolist() == [1] * 5
 
 
 def test_spec_validation():

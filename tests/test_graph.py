@@ -10,7 +10,6 @@ from comdet.graph import (
     Partition,
     canonical_labels,
     component_counts,
-    connected_components,
     induced_subgraph,
     merge_partitions,
     split_into_components,
@@ -52,17 +51,17 @@ def test_neighbors_sorted_and_symmetric():
     rng = np.random.default_rng(7)
     g = random_graph(rng, 25, 0.2)
     for v in range(g.n):
-        nb = g.neighbors(v)
+        nb = g.indices[g.indptr[v]:g.indptr[v + 1]]
         assert np.all(np.diff(nb) > 0)
         for u in nb:
-            assert v in g.neighbors(int(u))
+            assert v in g.indices[g.indptr[u]:g.indptr[u + 1]]
 
 
 def test_empty_graph():
     g = Graph(5)
     assert g.m == 0
     assert g.degrees.tolist() == [0] * 5
-    assert connected_components(g).k == 5
+    assert component_counts(g, Partition(np.zeros(5, dtype=np.int64))).tolist() == [5]
 
 
 def test_partition_validates_dense_ids():
@@ -106,7 +105,7 @@ def test_connected_components_matches_reachability_oracle():
     for trial in range(50):
         n = int(rng.integers(1, 30))
         g = random_graph(rng, n, float(rng.uniform(0.02, 0.25)))
-        comp = connected_components(g)
+        comp = split_into_components(g, Partition(np.zeros(n, dtype=np.int64)))
         reach = _reachability(g)
         same = comp.assignment[:, None] == comp.assignment[None, :]
         assert np.array_equal(same, reach)
@@ -127,19 +126,12 @@ def test_connected_components_matches_reachability_oracle():
                               np.bincount(a[is_lowest], minlength=cs.k))
 
 
-def test_connected_components_subset_respects_order():
-    g = Graph(6, [(0, 1), (1, 2), (3, 4)])
-    comp = connected_components(g, [4, 0, 3, 2])
-    # 4 and 3 connect; 0 and 2 connect only through node 1, which is outside
-    assert comp.assignment.tolist() == [0, 1, 0, 2]
-
-
 def test_connected_components_rejects_bad_subset():
     g = Graph(3, [(0, 1)])
     with pytest.raises(ValueError):
-        connected_components(g, [0, 0])
+        induced_subgraph(g, [0, 0])
     with pytest.raises(ValueError):
-        connected_components(g, [5])
+        induced_subgraph(g, [5])
 
 
 def test_induced_subgraph_matches_pair_scan_oracle():
@@ -149,10 +141,9 @@ def test_induced_subgraph_matches_pair_scan_oracle():
         g = random_graph(rng, n, 0.3)
         size = int(rng.integers(1, n + 1))
         nodes = rng.permutation(n)[:size]
-        sub, idx = induced_subgraph(g, nodes)
+        sub = induced_subgraph(g, nodes)
         assert sub.n == size
-        assert sorted(idx) == sorted(int(x) for x in nodes)
-        assert sorted(idx.values()) == list(range(size))
+        idx = {int(old): new for new, old in enumerate(nodes)}  # node i is nodes[i]
         # oracle: brute scan of all node pairs inside the subset
         adj = np.zeros((n, n), dtype=bool)
         adj[g.edge_u, g.edge_v] = True
@@ -161,13 +152,6 @@ def test_induced_subgraph_matches_pair_scan_oracle():
                     for a in nodes for b in nodes if int(a) < int(b) and adj[a, b]}
         got = set(zip(sub.edge_u.tolist(), sub.edge_v.tolist()))
         assert got == expected
-
-
-def test_induced_subgraph_index_map_follows_given_order():
-    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    sub, idx = induced_subgraph(g, [3, 1, 0])
-    assert idx == {3: 0, 1: 1, 0: 2}
-    assert set(zip(sub.edge_u.tolist(), sub.edge_v.tolist())) == {(1, 2)}
 
 
 def test_merge_partitions_co_membership():
@@ -218,6 +202,4 @@ def test_split_into_components():
     cs = Partition([0, 0, 0, 0, 1, 1])
     out = split_into_components(g, cs)
     assert pair_set(out) == {(0, 1), (2, 3), (4, 5)}
-    for c in range(out.k):
-        members = np.flatnonzero(out.assignment == c)
-        assert connected_components(g, members).k == 1
+    assert component_counts(g, out).tolist() == [1] * out.k

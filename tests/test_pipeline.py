@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
 
+import comdet
 from comdet.birch import BirchConfig
 from comdet.data_io import (
     DatasetBundle,
@@ -144,7 +145,7 @@ def test_result_record_shape():
     snap = cfg.snapshot(bundle.name)
     json.dumps(snap)  # must be serializable as-is
     assert snap["mu"] == 0.5 and snap["mode"] == "full"
-    assert set(snap["refine"]) == {"leiden_runs", "threshold_rule"}
+    assert set(snap["refine"]) == {"leiden_runs", "threshold_rule", "leiden"}
 
 
 def test_metric_report_examples():
@@ -155,7 +156,7 @@ def test_metric_report_examples():
     assert rep["F1"] == 1.0
     singles = Partition([0, 1, 2, 3])
     rep = metric_report(g, labels, singles)
-    degsq = sum(g.degree(i) ** 2 for i in range(4))
+    degsq = int((g.degrees ** 2).sum())
     assert rep["Q"] == pytest.approx(-degsq / (4 * g.m ** 2), abs=1e-12)
     assert rep["communities"] == 4
 
@@ -208,3 +209,30 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"parallel_runs must be >= 1, got {bad}"):
             RunConfig(parallel_runs=bad)
     assert RunConfig(mode="lr-only").mode is RunMode.LR_ONLY
+    for bad in (float("nan"), float("inf"), -1.0, 0.0):
+        with pytest.raises(ValueError, match=f"learning_rate must be finite and > 0, got {bad}"):
+            RunConfig(learning_rate=bad)
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match=f"mu must be finite and >= 0, got {bad}"):
+            RunConfig(mu=bad)
+    assert RunConfig(mu=0.0).mu == 0.0
+    for bad in ((1, 2), (16, 0, 8), (16, 8, 6, 4)):
+        with pytest.raises(ValueError, match="hidden_dims must be three positive sizes"):
+            RunConfig(hidden_dims=bad)
+
+
+def test_public_surface_is_pinned():
+    # a new export should be a deliberate change to this list
+    assert sorted(comdet.__all__) == [
+        "BirchConfig", "DataError", "DatasetBundle", "GcnModel", "Graph",
+        "LeidenConfig", "PairwiseTarget", "Partition", "RefineConfig", "RunConfig",
+        "RunMode", "RunResult", "SyntheticSpec", "ThresholdRule", "TrainingDiverged",
+        "__version__", "adjacency_as_features", "best_of_runs", "birch_cluster",
+        "conductance", "connectivity_score", "f1_score", "generate_synthetic",
+        "induced_subgraph", "leiden", "load_checkpoint", "load_dataset",
+        "load_partition", "merge_partitions", "metric_report", "modularity", "nmi",
+        "normalized_adjacency", "pairwise_loss", "refine_labels", "resolve_mu", "run",
+        "save_checkpoint", "split_into_components", "total_loss", "train",
+        "write_bundle", "write_results",
+    ]
+    assert all(hasattr(comdet, name) for name in comdet.__all__)
