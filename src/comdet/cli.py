@@ -15,6 +15,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
 from .birch import BirchConfig
@@ -56,36 +58,52 @@ def _require_file(path, flag: str) -> Path:
     return p
 
 
-def _parse_dims(text) -> tuple[int, ...]:
-    parts = text if isinstance(text, (list, tuple)) else str(text).split(",")
+def _int(value) -> int:
+    """A whole number from flag text or JSON; bools and fractions are errors."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
     try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise DataError(f"bad hidden dims {text!r}: {exc}") from exc
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected an integer, got {value!r}") from None
 
 
-# run settings by --config key (= flag dest): the RunConfig section that
-# holds the field (None for RunConfig itself), the field, and its parser
+def _dims(value) -> tuple[int, ...]:
+    return tuple(map(_int, value if isinstance(value, list) else str(value).split(",")))
+
+
+def _parsed(key: str, parse, value):
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{key}: {exc}") from exc
+
+
+# run settings by --config key (= flag dest, with flag --key-name): the
+# dataclass that holds the field, the field, its parser and its help text
 _SETTINGS = {
-    "mu": (None, "mu", lambda v: None if v is None else float(v)),
-    "epochs": (None, "epochs", int),
-    "lr": (None, "learning_rate", float),
-    "hidden_dims": (None, "hidden_dims", _parse_dims),
-    "leiden_runs": (None, "leiden_global_runs", int),
-    "refine_runs": ("refine", "leiden_runs", int),
-    "threshold_rule": ("refine", "threshold_rule", ThresholdRule),
-    "birch_threshold": ("birch", "threshold_radius", float),
-    "branching_factor": ("birch", "branching_factor", int),
-    "seed": (None, "seed", int),
-    "mode": (None, "mode", RunMode),
-    "parallel_runs": (None, "parallel_runs", int),
+    "mu": (RunConfig, "mu", lambda v: None if v is None else float(v),
+           "weight of the refined-label loss term"),
+    "epochs": (RunConfig, "epochs", _int, "training epochs"),
+    "lr": (RunConfig, "learning_rate", float, "Adam learning rate"),
+    "hidden_dims": (RunConfig, "hidden_dims", _dims, "encoder layer sizes"),
+    "leiden_runs": (RunConfig, "leiden_global_runs", _int, "global Leiden repeats"),
+    "refine_runs": (RefineConfig, "leiden_runs", _int, "per-label Leiden repeats"),
+    "threshold_rule": (RefineConfig, "threshold_rule", ThresholdRule,
+                       "refinement merge-down threshold"),
+    "birch_threshold": (BirchConfig, "threshold_radius", float, "CF absorb radius"),
+    "branching_factor": (BirchConfig, "branching_factor", _int, "CF-tree fanout"),
+    "seed": (RunConfig, "seed", _int, "master seed"),
+    "mode": (RunConfig, "mode", RunMode, "pipeline variant"),
+    "parallel_runs": (RunConfig, "parallel_runs", _int,
+                      "processes for independent Leiden repeats"),
 }
 
 
 def _run_config(args) -> RunConfig:
     """The run's config from the settings given: flags beat the config file,
-    which beats the dataclass defaults. A setting of the wrong type or range
-    is a data error."""
+    which beats the dataclass defaults. Flag and file values go through the
+    same parser; a setting of the wrong type or range is a data error."""
     given = {}
     if getattr(args, "config", None) is not None:
         p = _require_file(args.config, "--config")
@@ -101,13 +119,13 @@ def _run_config(args) -> RunConfig:
                             f"known keys: {sorted(_SETTINGS)}")
     given.update((key, getattr(args, key)) for key in _SETTINGS
                  if getattr(args, key, None) is not None)
-    fields: dict = {None: {}, "refine": {}, "birch": {}}
+    values: dict = {RunConfig: {}, RefineConfig: {}, BirchConfig: {}}
+    for key, value in given.items():
+        cls, name, parse, _ = _SETTINGS[key]
+        values[cls][name] = _parsed(key, parse, value)
     try:
-        for key, value in given.items():
-            section, name, parse = _SETTINGS[key]
-            fields[section][name] = parse(value)
-        return RunConfig(refine=RefineConfig(**fields["refine"]),
-                         birch=BirchConfig(**fields["birch"]), **fields[None])
+        return RunConfig(refine=RefineConfig(**values[RefineConfig]),
+                         birch=BirchConfig(**values[BirchConfig]), **values[RunConfig])
     except (TypeError, ValueError) as exc:
         raise DataError(str(exc)) from exc
 
@@ -220,10 +238,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = SyntheticSpec(n=args.n, k=args.k, p_in=args.p_in, p_out=args.p_out,
-                         t=args.t, s=args.s,
-                         disconnect_fraction=args.disconnect_fraction,
-                         seed=args.seed)
+    spec = SyntheticSpec(**{
+        f.name: _parsed(f.name, _int if isinstance(f.default, int) else float,
+                        getattr(args, f.name))
+        for f in fields(SyntheticSpec) if getattr(args, f.name) is not None})
     bundle = generate_synthetic(spec)
     paths = write_bundle(bundle, Path(args.out))
     if args.json:
@@ -248,40 +266,28 @@ def _add_bundle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--name", help="network name (controls the default mu)")
 
 
-def _add_run_flags(p: argparse.ArgumentParser, mode_required: bool) -> None:
-    p.add_argument("--mu", type=float, help="weight of the refined-label loss term")
-    p.add_argument("--epochs", type=int,
-                   help=f"training epochs (default {RunConfig.epochs})")
-    p.add_argument("--lr", type=float,
-                   help=f"Adam learning rate (default {RunConfig.learning_rate})")
-    p.add_argument("--hidden-dims", dest="hidden_dims", metavar="D1,D2,D3",
-                   help="encoder layer sizes (default "
-                        f"{','.join(map(str, RunConfig.hidden_dims))})")
-    p.add_argument("--leiden-runs", dest="leiden_runs", type=int,
-                   help=f"global Leiden repeats (default {RunConfig.leiden_global_runs})")
-    p.add_argument("--refine-runs", dest="refine_runs", type=int,
-                   help=f"per-label Leiden repeats (default {RefineConfig.leiden_runs})")
-    p.add_argument("--threshold-rule", dest="threshold_rule",
-                   choices=[r.value for r in ThresholdRule],
-                   help="refinement merge-down threshold "
-                        f"(default {RefineConfig.threshold_rule.value})")
-    p.add_argument("--birch-threshold", dest="birch_threshold", type=float,
-                   help=f"CF absorb radius (default {BirchConfig.threshold_radius})")
-    p.add_argument("--branching-factor", dest="branching_factor", type=int,
-                   help=f"CF-tree fanout (default {BirchConfig.branching_factor})")
-    p.add_argument("--seed", type=int, help=f"master seed (default {RunConfig.seed})")
-    p.add_argument("--mode", required=mode_required,
-                   choices=[m.value for m in RunMode],
-                   help=f"pipeline variant (default {RunConfig.mode.value})")
-    p.add_argument("--parallel-runs", dest="parallel_runs", type=int,
-                   help="processes for independent Leiden repeats "
-                        f"(default {RunConfig.parallel_runs})")
-    p.add_argument("--config", help="JSON file with any of the above settings")
-    p.add_argument("--out", default=_default_out(),
-                   help=f"output directory (default ${_ENV_OUT} or comdet-out)")
-    p.add_argument("--save-model", dest="save_model",
-                   help="also write the trained encoder checkpoint here")
-    p.add_argument("--json", action="store_true", help="machine-readable stdout")
+def _add_flag(p: argparse.ArgumentParser, flag: str, default, text: str = "",
+              **kwargs) -> None:
+    """A setting flag with no argparse type or default: its help shows the
+    dataclass default, and an enum default gives its choices."""
+    if isinstance(default, Enum):
+        kwargs["choices"] = [e.value for e in type(default)]
+    if default is not None:
+        shown = (",".join(map(str, default)) if isinstance(default, tuple)
+                 else getattr(default, "value", default))
+        text = f"{text} (default {shown})".lstrip()
+    p.add_argument(flag, help=text, **kwargs)
+
+
+def _add_settings(p: argparse.ArgumentParser, keys, runs: str | None = None,
+                  mode_required: bool = False) -> None:
+    """One flag per setting key; the key named by ``runs`` is given as --runs."""
+    for key in keys:
+        cls, name, _, text = _SETTINGS[key]
+        flag = "--runs" if key == runs else "--" + key.replace("_", "-")
+        metavar = "RUNS" if key == runs else "D1,D2,D3" if key == "hidden_dims" else None
+        _add_flag(p, flag, getattr(cls, name), text, dest=key, metavar=metavar,
+                  required=mode_required and key == "mode")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,37 +295,30 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Attributed-network community detection")
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("detect", help="run the full detection pipeline")
-    _add_bundle_flags(p)
-    _add_run_flags(p, mode_required=False)
-    p.set_defaults(func=_cmd_detect)
-
-    p = sub.add_parser("ablate", help="run the pipeline with one term disabled")
-    _add_bundle_flags(p)
-    _add_run_flags(p, mode_required=True)
-    p.set_defaults(func=_cmd_detect)
+    for cmd, text, mode_required in (
+            ("detect", "run the full detection pipeline", False),
+            ("ablate", "run the pipeline with one term disabled", True)):
+        p = sub.add_parser(cmd, help=text)
+        _add_bundle_flags(p)
+        _add_settings(p, _SETTINGS, mode_required=mode_required)
+        p.add_argument("--config", help="JSON file with any of the above settings")
+        p.add_argument("--out", default=_default_out(),
+                       help=f"output directory (default ${_ENV_OUT} or comdet-out)")
+        p.add_argument("--save-model", dest="save_model",
+                       help="also write the trained encoder checkpoint here")
+        p.add_argument("--json", action="store_true", help="machine-readable stdout")
+        p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("leiden", help="modularity optimization alone")
     _add_bundle_flags(p)
-    p.add_argument("--runs", dest="leiden_runs", metavar="RUNS", type=int,
-                   help=f"seeded repeats (default {RunConfig.leiden_global_runs})")
-    p.add_argument("--seed", type=int, help=f"master seed (default {RunConfig.seed})")
-    p.add_argument("--parallel-runs", dest="parallel_runs", type=int,
-                   help="processes for independent repeats "
-                        f"(default {RunConfig.parallel_runs})")
+    _add_settings(p, ["leiden_runs", "seed", "parallel_runs"], runs="leiden_runs")
     p.add_argument("--out", help="write assignment.tsv and metrics.json here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_leiden)
 
     p = sub.add_parser("refine", help="split labels into connected sub-communities")
     _add_bundle_flags(p)
-    p.add_argument("--runs", dest="refine_runs", metavar="RUNS", type=int,
-                   help=f"per-label repeats (default {RefineConfig.leiden_runs})")
-    p.add_argument("--threshold-rule", dest="threshold_rule",
-                   choices=[r.value for r in ThresholdRule],
-                   help="merge-down threshold "
-                        f"(default {RefineConfig.threshold_rule.value})")
-    p.add_argument("--seed", type=int, help=f"master seed (default {RunConfig.seed})")
+    _add_settings(p, ["refine_runs", "threshold_rule", "seed"], runs="refine_runs")
     p.add_argument("--out", help="write the refined assignment here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_refine)
@@ -332,15 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("gen", help="generate a synthetic attributed network")
-    p.add_argument("--n", type=int, default=300)
-    p.add_argument("--k", type=int, default=6)
-    p.add_argument("--p-in", dest="p_in", type=float, default=0.3)
-    p.add_argument("--p-out", dest="p_out", type=float, default=0.01)
-    p.add_argument("--t", type=int, default=24)
-    p.add_argument("--s", type=float, default=0.8)
-    p.add_argument("--disconnect-fraction", dest="disconnect_fraction",
-                   type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    for f in fields(SyntheticSpec):
+        _add_flag(p, "--" + f.name.replace("_", "-"), f.default)
     p.add_argument("--out", default=_default_out())
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_gen)

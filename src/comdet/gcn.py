@@ -28,6 +28,10 @@ from .graph import Graph
 SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
 EPS = 1e-12
+# Adam moment decay rates and denominator guard (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # a sparse multiply-add costs about as much as 12 dense ones (scipy CSR
 # against one-thread BLAS), so the factored first layer, at
@@ -173,9 +177,6 @@ class AdamState:
     """Full-batch Adam with bias correction."""
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -189,11 +190,11 @@ class AdamState:
     def step(self, weights: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
         for i, (w, grad) in enumerate(zip(weights, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * grad
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * grad ** 2
-            m_hat = self.m[i] / (1.0 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** self.t)
-            w -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * grad
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * grad ** 2
+            m_hat = self.m[i] / (1.0 - ADAM_BETA1 ** self.t)
+            v_hat = self.v[i] / (1.0 - ADAM_BETA2 ** self.t)
+            w -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class TrainingDiverged(RuntimeError):

@@ -85,29 +85,12 @@ class Partition:
         self.assignment = a
         self.k = k
 
-    @classmethod
-    def from_labels(cls, labels) -> "Partition":
-        """Build from arbitrary hashable labels, relabeled densely in first-occurrence order."""
-        seen: dict = {}
-        out = np.empty(len(labels), dtype=np.int64)
-        for i, lab in enumerate(labels):
-            if lab not in seen:
-                seen[lab] = len(seen)
-            out[i] = seen[lab]
-        return cls(out)
-
     @property
     def n(self) -> int:
         return int(self.assignment.size)
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.k)
-
-    def communities(self) -> list[np.ndarray]:
-        """Member index arrays per community id, each sorted ascending."""
-        order = np.argsort(self.assignment, kind="stable")
-        bounds = np.cumsum(self.sizes())
-        return [np.sort(chunk) for chunk in np.split(order, bounds[:-1])]
 
     def equivalent_to(self, other: "Partition") -> bool:
         """True when both partitions induce the same co-membership relation."""

@@ -80,11 +80,23 @@ def random_connected_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     return Graph(n, sorted(edges))
 
 
+def partition_from_labels(labels) -> Partition:
+    """Partition of arbitrary hashable labels, numbered densely in
+    first-occurrence order."""
+    seen: dict = {}
+    return Partition([seen.setdefault(lab, len(seen)) for lab in labels])
+
+
+def communities(p: Partition) -> list[np.ndarray]:
+    """Member index arrays per community id, each sorted ascending."""
+    return [np.flatnonzero(p.assignment == c) for c in range(p.k)]
+
+
 def random_partition(rng: np.random.Generator, n: int, k: int) -> Partition:
     """Uniform random assignment with every community guaranteed occupied."""
     a = rng.integers(0, k, size=n)
     a[rng.permutation(n)[:k]] = np.arange(k)
-    return Partition(Partition.from_labels(a.tolist()).assignment)
+    return partition_from_labels(a.tolist())
 
 
 def block_model(rng: np.random.Generator, blocks: Partition, p_in: float,
@@ -125,7 +137,7 @@ def all_partitions(n: int):
 def pair_set(p: Partition) -> set[tuple[int, int]]:
     """Unordered co-assigned node pairs, the pairwise-metric oracle."""
     out = set()
-    for members in p.communities():
+    for members in communities(p):
         out.update(itertools.combinations(sorted(int(x) for x in members), 2))
     return out
 

@@ -38,8 +38,10 @@ from comdet.refine import refine_labels
 from conftest import (
     ClusteringFeature,
     all_partitions,
+    communities,
     merge_step,
     modularity_double_sum,
+    partition_from_labels,
     random_connected_graph,
     random_graph,
     random_partition,
@@ -286,7 +288,7 @@ def test_criterion_05_refinement_invariants(capsys):
             continue
         refined = refine_labels(g, labels, seed=7 + s)
         refined_total += refined.k
-        for members in refined.communities():
+        for members in communities(refined):
             if np.unique(labels.assignment[members]).size != 1:
                 problems.append(f"seed {spec.seed}: a refined community straddles "
                                 f"two original labels")
@@ -329,7 +331,7 @@ def test_criterion_05_refinement_invariants(capsys):
                                  - deg[i] * deg[j]) / (2.0 * m * m)
                     merged_labels = a.copy()
                     merged_labels[merged_labels == j] = i
-                    actual = modularity(g, Partition.from_labels(merged_labels)) - q_before
+                    actual = modularity(g, partition_from_labels(merged_labels)) - q_before
                     worst_dev = max(worst_dev, abs(predicted - actual))
                     if best is None or predicted > best[0] + 0.0:
                         best = (predicted, i, j)
@@ -337,7 +339,7 @@ def test_criterion_05_refinement_invariants(capsys):
             expected = a.copy()
             expected[expected == bj] = bi
             stepped = merge_step(g, part)
-            if not stepped.equivalent_to(Partition.from_labels(expected)):
+            if not stepped.equivalent_to(partition_from_labels(expected)):
                 problems.append("merge step did not take the highest-gain pair")
             steps += 1
             part = stepped
@@ -480,7 +482,7 @@ def _blob_case(rng, centers, per_blob, noise):
     rows = rows + rng.normal(scale=noise, size=rows.shape)
     planted = np.repeat(np.arange(len(centers)), per_blob)
     order = rng.permutation(len(rows))
-    return rows[order], Partition.from_labels(planted[order])
+    return rows[order], partition_from_labels(planted[order])
 
 def test_criterion_09_cf_tree_clustering(capsys):
     problems = []

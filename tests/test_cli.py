@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 from comdet import cli, pipeline
 from comdet.cli import main
-from comdet.data_io import load_dataset, load_partition
+from comdet.data_io import (SyntheticSpec, generate_synthetic, load_dataset,
+                            load_partition, write_bundle)
 from comdet.metrics import modularity
 
 
@@ -89,6 +91,15 @@ def test_runtime_failure_exits_3(tmp_path, capsys, monkeypatch):
     ("detect", ["--mu", "inf"], "mu must be finite and >= 0, got inf"),
     ("detect", ["--mu", "-1"], "mu must be finite and >= 0, got -1.0"),
     ("detect", ["--hidden-dims", "1,2"], "hidden_dims must be three positive sizes, got (1, 2)"),
+    # a flag and a --config value of the wrong type fail alike, naming the key
+    ("detect", {"epochs": 2.9}, "epochs: expected an integer, got 2.9"),
+    ("detect", {"hidden_dims": [8.7, 6, 4]}, "hidden_dims: expected an integer, got 8.7"),
+    ("detect", {"leiden_runs": 1.5}, "leiden_runs: expected an integer, got 1.5"),
+    ("detect", {"seed": True}, "seed: expected an integer, got True"),
+    ("detect", ["--epochs", "abc"], "epochs: expected an integer, got 'abc'"),
+    ("detect", ["--lr", "x"], "lr: could not convert string to float: 'x'"),
+    ("detect", ["--seed", "1.5"], "seed: expected an integer, got '1.5'"),
+    ("leiden", ["--runs", "abc"], "leiden_runs: expected an integer, got 'abc'"),
 ])
 def test_bad_settings_exit_2_before_any_stage(tmp_path, capsys, monkeypatch,
                                               cmd, flags, needle):
@@ -110,6 +121,23 @@ def test_bad_settings_exit_2_before_any_stage(tmp_path, capsys, monkeypatch,
                  "--out", str(tmp_path / "o"), *flags])
     assert code == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5"])
+def test_gen_wrong_type_exits_2_naming_the_field(tmp_path, capsys, value):
+    out = tmp_path / "g"
+    assert main(["gen", "--n", value, "--out", str(out)]) == 2
+    assert f"n: expected an integer, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bare_gen_writes_the_default_spec(tmp_path, capsys):
+    assert main(["gen", "--out", str(tmp_path / "cli")]) == 0
+    write_bundle(generate_synthetic(SyntheticSpec()), tmp_path / "lib")
+    names = sorted(p.name for p in (tmp_path / "lib").iterdir())
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
 def test_detect_writes_results_and_table(tmp_path, capsys):
@@ -256,6 +284,62 @@ def test_bare_detect_resolves_to_the_dataclass_defaults():
 def test_bare_leiden_and_refine_resolve_to_the_dataclass_defaults(cmd):
     args = cli.build_parser().parse_args([cmd, "--edges", "e", "--labels", "l"])
     assert cli._run_config(args) == pipeline.RunConfig()
+
+
+# a non-default value per setting: (flag text, the same value in JSON)
+_OTHER_VALUES = {
+    "mu": ("0.25", 0.25), "epochs": ("7", 7), "lr": ("0.01", 0.01),
+    "hidden_dims": ("8,6,4", [8, 6, 4]), "leiden_runs": ("2", 2),
+    "refine_runs": ("3", 3), "threshold_rule": ("all-components", "all-components"),
+    "birch_threshold": ("0.25", 0.25), "branching_factor": ("7", 7),
+    "seed": ("5", 5), "mode": ("lm-only", "lm-only"), "parallel_runs": ("2", 2),
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli._SETTINGS))
+def test_flag_and_config_give_the_same_run_config(tmp_path, key):
+    text, value = _OTHER_VALUES[key]
+    bundle = ["detect", "--edges", "e", "--labels", "l"]
+    parser = cli.build_parser()
+    from_flag = cli._run_config(
+        parser.parse_args([*bundle, "--" + key.replace("_", "-"), text]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    from_file = cli._run_config(parser.parse_args([*bundle, "--config", str(cfg)]))
+    assert from_flag == from_file != pipeline.RunConfig()
+
+
+def _help_entries(capsys, monkeypatch, cmd) -> dict:
+    """Each option's help entry, whitespace collapsed, by its flag."""
+    monkeypatch.setenv("COLUMNS", "200")
+    assert main([cmd, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split()).split(" options: ")[1]
+    return {entry.split()[0]: entry for entry in text.split(" --")[1:]}
+
+
+@pytest.mark.parametrize("cmd, flags", [
+    ("detect", {k.replace("_", "-"): k for k in cli._SETTINGS}),
+    ("ablate", {k.replace("_", "-"): k for k in cli._SETTINGS}),
+    ("leiden", {"runs": "leiden_runs", "seed": "seed", "parallel-runs": "parallel_runs"}),
+    ("refine", {"runs": "refine_runs", "threshold-rule": "threshold_rule", "seed": "seed"}),
+])
+def test_setting_help_shows_the_dataclass_default(capsys, monkeypatch, cmd, flags):
+    entries = _help_entries(capsys, monkeypatch, cmd)
+    for flag, key in flags.items():
+        cls, name, _, _ = cli._SETTINGS[key]
+        default = getattr(cls, name)
+        if default is None:  # mu: resolved per network
+            assert "(default" not in entries[flag]
+            continue
+        shown = (",".join(map(str, default)) if isinstance(default, tuple)
+                 else getattr(default, "value", default))
+        assert entries[flag].endswith(f"(default {shown})")
+
+
+def test_gen_help_shows_the_spec_defaults(capsys, monkeypatch):
+    entries = _help_entries(capsys, monkeypatch, "gen")
+    for f in dataclasses.fields(SyntheticSpec):
+        assert entries[f.name.replace("_", "-")].endswith(f"(default {f.default})")
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):

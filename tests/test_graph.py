@@ -15,7 +15,8 @@ from comdet.graph import (
     split_into_components,
 )
 
-from conftest import pair_set, random_graph, random_partition
+from conftest import (communities, pair_set, partition_from_labels, random_graph,
+                      random_partition)
 
 
 def _reachability(g: Graph) -> np.ndarray:
@@ -73,7 +74,7 @@ def test_partition_validates_dense_ids():
 
 
 def test_partition_from_labels_first_occurrence_order():
-    p = Partition.from_labels(["b", "a", "b", "c"])
+    p = partition_from_labels(["b", "a", "b", "c"])
     assert p.assignment.tolist() == [0, 1, 0, 2]
     assert p.k == 3
 
@@ -93,7 +94,7 @@ def test_canonical_labels():
 def test_partition_communities_sorted_members():
     rng = np.random.default_rng(3)
     p = random_partition(rng, 30, 4)
-    comms = p.communities()
+    comms = communities(p)
     assert sorted(int(x) for arr in comms for x in arr) == list(range(30))
     for c, members in enumerate(comms):
         assert np.all(p.assignment[members] == c)

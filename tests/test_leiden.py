@@ -14,14 +14,14 @@ from comdet.leiden import (LeidenConfig, _aggregate, _draw, _LevelGraph, _local_
 from comdet.metrics import modularity
 from comdet.refine import RefineConfig, refine_labels
 
-from conftest import (all_partitions, block_model, random_connected_graph, random_graph,
-                      random_partition)
+from conftest import (all_partitions, block_model, partition_from_labels,
+                      random_connected_graph, random_graph, random_partition)
 
 leiden_module = importlib.import_module("comdet.leiden")  # comdet.leiden is also the function
 
 
 def brute_force_best_q(g: Graph) -> float:
-    return max(modularity(g, Partition(Partition.from_labels(a).assignment))
+    return max(modularity(g, partition_from_labels(a))
                for a in all_partitions(g.n))
 
 
