@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
 
@@ -345,6 +346,36 @@ def test_synthetic_blocks_internally_connected():
     spec = SyntheticSpec(n=50, k=5, p_in=0.11, p_out=0.01, t=5, s=0.5, seed=13)
     bundle = generate_synthetic(spec)
     assert component_counts(bundle.graph, bundle.planted).tolist() == [1] * 5
+
+
+_LABELS_N300_K6 = "83f081b9702a77c30343196a0070ac9222a0140a8d9d1284c8685272a103b9d3"
+
+
+@pytest.mark.parametrize("spec, digests", [
+    (SyntheticSpec(), {
+        "attrs": "0324b742dbf65257bc0754c92ade63f302a832a74f98c3ae7a19b5db69c313f3",
+        "edges": "9506bb074e5c73a8ee4d3a8d228686122c5c8bd912e415f79652da2ef58069db",
+        "labels": _LABELS_N300_K6, "planted": _LABELS_N300_K6}),
+    (SyntheticSpec(seed=42), {
+        "attrs": "05a57f34e8680738a98f538185f68141e5bdf737abee704e63a58c789e356ae5",
+        "edges": "3df29878bfd31e9c05a507fdbee1ace2ae7ca043375e19e0202eead35c2bef8a",
+        "labels": _LABELS_N300_K6, "planted": _LABELS_N300_K6}),
+    (SyntheticSpec(n=301, k=7, disconnect_fraction=0.5), {
+        "attrs": "dad69849ad3ad66459e43f705021551e0222d4d27dad0dd8cf664aa75a1606bd",
+        "edges": "daddbbb2c36597918e89faa5183f6fb64bacc53b7620e74239040b51103a371d",
+        "labels": "bf6212f68da366376f536bc33f937396be92b8e61bf98adbf91193723f885b98",
+        "planted": "ae3adb5f0ca1d60a3720ec71486baab111a74d2bb48ce4b873843c668dfe9505"}),
+    (SyntheticSpec(p_in=1.0, p_out=0.0), {
+        "attrs": "0324b742dbf65257bc0754c92ade63f302a832a74f98c3ae7a19b5db69c313f3",
+        "edges": "c07953c93fda954baa4a302b41ac3a104e12453741f80d8b2f2e8bc281d5c3ce",
+        "labels": _LABELS_N300_K6, "planted": _LABELS_N300_K6}),
+])
+def test_synthetic_bundle_files_are_pinned(tmp_path, spec, digests):
+    """Literal sha256 of every written file, so a generator rewrite that
+    changes the random stream or the edge set fails here."""
+    paths = write_bundle(generate_synthetic(spec), tmp_path)
+    assert {key: hashlib.sha256(p.read_bytes()).hexdigest()
+            for key, p in paths.items()} == digests
 
 
 def test_spec_validation():
