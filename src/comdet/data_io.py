@@ -285,37 +285,34 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
     with all edges between the paired blocks suppressed — the united labels
     are then disconnected with exactly two components each. The pre-uniting
     block structure is kept in ``bundle.planted``.
+
+    Edge ``(i, j)``, ``i < j``, is drawn from row ``i`` of an ``n × n``
+    uniform stream against a ``k × k`` block-pair probability table. The rows
+    are drawn one at a time, so memory is O(n + m) while the draw still takes
+    O(n²) time.
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     n, k = spec.n, spec.k
-    sizes = _block_sizes(n, k)
-    block = np.repeat(np.arange(k), sizes)
-
-    same = block[:, None] == block[None, :]
-    prob = np.where(same, spec.p_in, spec.p_out)
+    block = np.repeat(np.arange(k), _block_sizes(n, k))
+    prob = np.where(np.eye(k, dtype=bool), spec.p_in, spec.p_out)
 
     npairs = min(int(round(spec.disconnect_fraction * k)), k // 2)
     label_of_block = np.arange(k)
-    for p in range(npairs):
-        a, b = 2 * p, 2 * p + 1
-        label_of_block[b] = label_of_block[a]
+    for a in range(0, 2 * npairs, 2):
+        label_of_block[a + 1] = a
         # suppress edges between united blocks so the label is disconnected
-        mask = (block[:, None] == a) & (block[None, :] == b)
-        prob[mask | mask.T] = 0.0
+        prob[a, a + 1] = prob[a + 1, a] = 0.0
     # squeeze label ids dense after uniting
     labels = Partition(canonical_labels(label_of_block[block]))
 
-    draw = rng.random((n, n))
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    adj = upper & (draw < prob)
-    edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(adj))]
+    # every row draws n values, so the attribute draw below sees the same stream
+    heads = [np.flatnonzero(rng.random(n)[i + 1:] < prob[block[i], block[i + 1:]]) + i + 1
+             for i in range(n)]
     # spanning path per block keeps every block internally connected
-    start = 0
-    for size in sizes:
-        for v in range(start, start + size - 1):
-            edges.append((v, v + 1))
-        start += size
-    g = Graph(n, edges)
+    path = np.flatnonzero(block[1:] == block[:-1])
+    g = Graph(n, np.column_stack([
+        np.concatenate([np.repeat(np.arange(n), [h.size for h in heads]), path]),
+        np.concatenate(heads + [path + 1])]))
 
     csizes = _block_sizes(spec.t, k)
     col_block = np.repeat(np.arange(k), csizes)

@@ -378,6 +378,19 @@ def test_synthetic_bundle_files_are_pinned(tmp_path, spec, digests):
             for key, p in paths.items()} == digests
 
 
+def test_synthetic_memory_is_linear_in_n():
+    spec = SyntheticSpec(n=3000, k=10, p_in=0.02, p_out=0.001, disconnect_fraction=0.4)
+    tracemalloc.start()
+    try:
+        bundle = generate_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a tenth of one n × n float64 array: the edge draw may hold no n² cells
+    assert peak < 0.1 * spec.n ** 2 * 8
+    assert component_counts(bundle.graph, bundle.labels).tolist() == [2] * 4 + [1] * 2
+
+
 def test_spec_validation():
     with pytest.raises(DataError):
         SyntheticSpec(p_in=0.2, p_out=0.2)
