@@ -68,6 +68,13 @@ def _int(value) -> int:
         raise ValueError(f"expected an integer, got {value!r}") from None
 
 
+def _float(value) -> float:
+    """A real number from flag text or JSON; bools are errors."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _dims(value) -> tuple[int, ...]:
     return tuple(map(_int, value if isinstance(value, list) else str(value).split(",")))
 
@@ -82,16 +89,16 @@ def _parsed(key: str, parse, value):
 # run settings by --config key (= flag dest, with flag --key-name): the
 # dataclass that holds the field, the field, its parser and its help text
 _SETTINGS = {
-    "mu": (RunConfig, "mu", lambda v: None if v is None else float(v),
+    "mu": (RunConfig, "mu", lambda v: None if v is None else _float(v),
            "weight of the refined-label loss term"),
     "epochs": (RunConfig, "epochs", _int, "training epochs"),
-    "lr": (RunConfig, "learning_rate", float, "Adam learning rate"),
+    "lr": (RunConfig, "learning_rate", _float, "Adam learning rate"),
     "hidden_dims": (RunConfig, "hidden_dims", _dims, "encoder layer sizes"),
     "leiden_runs": (RunConfig, "leiden_global_runs", _int, "global Leiden repeats"),
     "refine_runs": (RefineConfig, "leiden_runs", _int, "per-label Leiden repeats"),
     "threshold_rule": (RefineConfig, "threshold_rule", ThresholdRule,
                        "refinement merge-down threshold"),
-    "birch_threshold": (BirchConfig, "threshold_radius", float, "CF absorb radius"),
+    "birch_threshold": (BirchConfig, "threshold_radius", _float, "CF absorb radius"),
     "branching_factor": (BirchConfig, "branching_factor", _int, "CF-tree fanout"),
     "seed": (RunConfig, "seed", _int, "master seed"),
     "mode": (RunConfig, "mode", RunMode, "pipeline variant"),
@@ -239,7 +246,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_gen(args) -> int:
     spec = SyntheticSpec(**{
-        f.name: _parsed(f.name, _int if isinstance(f.default, int) else float,
+        f.name: _parsed(f.name, _int if isinstance(f.default, int) else _float,
                         getattr(args, f.name))
         for f in fields(SyntheticSpec) if getattr(args, f.name) is not None})
     bundle = generate_synthetic(spec)

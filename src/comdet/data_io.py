@@ -286,10 +286,9 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
     are then disconnected with exactly two components each. The pre-uniting
     block structure is kept in ``bundle.planted``.
 
-    Edge ``(i, j)``, ``i < j``, is drawn from row ``i`` of an ``n × n``
-    uniform stream against a ``k × k`` block-pair probability table. The rows
-    are drawn one at a time, so memory is O(n + m) while the draw still takes
-    O(n²) time.
+    Edge ``(i, j)``, ``i < j``, compares entry ``j`` of uniform row ``i``
+    with a ``k × k`` table of block-pair probabilities. Rows are drawn one
+    at a time: O(n + m) memory, O(n²) time.
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     n, k = spec.n, spec.k
@@ -306,16 +305,15 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
     labels = Partition(canonical_labels(label_of_block[block]))
 
     # every row draws n values, so the attribute draw below sees the same stream
-    heads = [np.flatnonzero(rng.random(n)[i + 1:] < prob[block[i], block[i + 1:]]) + i + 1
+    cols = [np.flatnonzero(rng.random(n)[i + 1:] < prob[block[i], block[i + 1:]]) + i + 1
              for i in range(n)]
     # spanning path per block keeps every block internally connected
     path = np.flatnonzero(block[1:] == block[:-1])
     g = Graph(n, np.column_stack([
-        np.concatenate([np.repeat(np.arange(n), [h.size for h in heads]), path]),
-        np.concatenate(heads + [path + 1])]))
+        np.concatenate([np.repeat(np.arange(n), [c.size for c in cols]), path]),
+        np.concatenate(cols + [path + 1])]))
 
-    csizes = _block_sizes(spec.t, k)
-    col_block = np.repeat(np.arange(k), csizes)
+    col_block = np.repeat(np.arange(k), _block_sizes(spec.t, k))
     owns = block[:, None] == col_block[None, :]
     p_attr = np.where(owns, 0.5 + spec.s / 2.0, 0.5 - spec.s / 2.0)
     x = (rng.random((n, spec.t)) < p_attr).astype(np.float64)
@@ -339,15 +337,26 @@ def _write_text(path: Path, text: str) -> None:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def write_results(out_dir, partition: Partition, metrics: dict, config: dict,
-                  node_ids: list[str] | None = None,
-                  timings: dict | None = None) -> dict[str, Path]:
-    """Emit assignment.tsv, metrics.json, config.json (and timings.json)."""
+def _make_dir(out_dir) -> Path:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
+def _write_partition(path: Path, ids: list[str], partition: Partition) -> None:
+    """One ``id<TAB>community`` line per node."""
+    _write_text(path, "".join(f"{node}\t{c}\n"
+                              for node, c in zip(ids, partition.assignment.tolist())))
+
+
+def write_results(out_dir, partition: Partition, metrics: dict, config: dict,
+                  node_ids: list[str] | None = None,
+                  timings: dict | None = None) -> dict[str, Path]:
+    """Emit assignment.tsv, metrics.json, config.json (and timings.json)."""
+    out = _make_dir(out_dir)
     ids = node_ids if node_ids is not None else [str(i) for i in range(partition.n)]
     if len(ids) != partition.n:
         raise DataError(f"{len(ids)} node ids for a partition over {partition.n} nodes")
@@ -357,8 +366,7 @@ def write_results(out_dir, partition: Partition, metrics: dict, config: dict,
         "metrics": out / "metrics.json",
         "config": out / "config.json",
     }
-    lines = "".join(f"{ids[i]}\t{partition.assignment[i]}\n" for i in range(partition.n))
-    _write_text(paths["assignment"], lines)
+    _write_partition(paths["assignment"], ids, partition)
     _write_text(paths["metrics"], _json_text(metrics))
     _write_text(paths["config"], _json_text(config))
     if timings is not None:
@@ -373,11 +381,7 @@ def _format_value(v: float) -> str:
 
 def write_bundle(bundle: DatasetBundle, out_dir) -> dict[str, Path]:
     """Write a bundle as edges.tsv / attrs.csv / labels.tsv (+ planted.tsv)."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {out}: {exc}") from exc
+    out = _make_dir(out_dir)
     g, ids = bundle.graph, bundle.node_ids
     paths = {
         "edges": out / "edges.tsv",
@@ -391,12 +395,10 @@ def write_bundle(bundle: DatasetBundle, out_dir) -> dict[str, Path]:
     _write_text(paths["attrs"], "".join(
         ids[i] + "," + ",".join(_format_value(v) for v in row(i)) + "\n"
         for i in range(bundle.n)))
-    _write_text(paths["labels"], "".join(
-        f"{ids[i]}\t{bundle.labels.assignment[i]}\n" for i in range(bundle.n)))
+    _write_partition(paths["labels"], ids, bundle.labels)
     if bundle.planted is not None:
         paths["planted"] = out / "planted.tsv"
-        _write_text(paths["planted"], "".join(
-            f"{ids[i]}\t{bundle.planted.assignment[i]}\n" for i in range(bundle.n)))
+        _write_partition(paths["planted"], ids, bundle.planted)
     return paths
 
 

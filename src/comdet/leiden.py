@@ -12,6 +12,7 @@ bit-deterministic for a given seed.
 
 from __future__ import annotations
 
+import multiprocessing
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -300,7 +301,8 @@ def best_of_runs(g: Graph, runs: int, score, config: LeidenConfig | None = None,
     integer, a numpy integer or a ``SeedSequence``, whose spawn key they
     extend; ``None`` counts as 0), so repeated calls reproduce the same
     winner. When ``min(parallel, runs) > 1`` the runs go to a process pool
-    of that many workers; results match the serial ones.
+    of that many ``spawn`` workers, whatever the platform's default start
+    method; results match the serial ones.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -315,7 +317,8 @@ def best_of_runs(g: Graph, runs: int, score, config: LeidenConfig | None = None,
     one_run = partial(leiden, g, config)
     workers = min(parallel, runs)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
             parts = list(pool.map(one_run, seeds))
     else:
         parts = [one_run(s) for s in seeds]

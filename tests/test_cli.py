@@ -100,6 +100,9 @@ def test_runtime_failure_exits_3(tmp_path, capsys, monkeypatch):
     ("detect", ["--lr", "x"], "lr: could not convert string to float: 'x'"),
     ("detect", ["--seed", "1.5"], "seed: expected an integer, got '1.5'"),
     ("leiden", ["--runs", "abc"], "leiden_runs: expected an integer, got 'abc'"),
+    ("detect", {"lr": True}, "lr: expected a number, got True"),
+    ("detect", {"mu": False}, "mu: expected a number, got False"),
+    ("detect", {"birch_threshold": True}, "birch_threshold: expected a number, got True"),
 ])
 def test_bad_settings_exit_2_before_any_stage(tmp_path, capsys, monkeypatch,
                                               cmd, flags, needle):

@@ -152,13 +152,15 @@ def test_best_of_runs_rejects_parallel_below_one():
 
 
 class _SerialPool:
-    """ProcessPoolExecutor stand-in that records ``max_workers`` and maps in
-    this process, so no worker is ever started."""
+    """ProcessPoolExecutor stand-in that records ``max_workers`` and the
+    start method, and maps in this process, so no worker is ever started."""
 
     sizes: list[int] = []
+    methods: list[str] = []
 
-    def __init__(self, max_workers: int) -> None:
+    def __init__(self, max_workers: int, mp_context) -> None:
         self.sizes.append(max_workers)
+        self.methods.append(mp_context.get_start_method())
 
     def __enter__(self):
         return self
@@ -172,6 +174,7 @@ class _SerialPool:
 
 def test_best_of_runs_pool_has_at_most_one_worker_per_run(monkeypatch):
     monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(_SerialPool, "methods", [])
     monkeypatch.setattr(leiden_module, "ProcessPoolExecutor", _SerialPool)
     g = random_graph(np.random.default_rng(33), 40, 0.1)
     score = lambda p: modularity(g, p)  # noqa: E731
@@ -182,6 +185,7 @@ def test_best_of_runs_pool_has_at_most_one_worker_per_run(monkeypatch):
         assert _SerialPool.sizes[-1] == workers
     best_of_runs(g, 1, score, parallel=4)  # one run, one worker: no pool
     assert _SerialPool.sizes == [2, 3, 3]
+    assert _SerialPool.methods == ["spawn"] * 3
 
 
 def test_parallel_runs_match_sequential():
