@@ -306,7 +306,7 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
 
     # every row draws n values, so the attribute draw below sees the same stream
     cols = [np.flatnonzero(rng.random(n)[i + 1:] < prob[block[i], block[i + 1:]]) + i + 1
-             for i in range(n)]
+            for i in range(n)]
     # spanning path per block keeps every block internally connected
     path = np.flatnonzero(block[1:] == block[:-1])
     g = Graph(n, np.column_stack([

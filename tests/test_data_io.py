@@ -378,6 +378,35 @@ def test_synthetic_bundle_files_are_pinned(tmp_path, spec, digests):
             for key, p in paths.items()} == digests
 
 
+@pytest.mark.parametrize("spec", [
+    SyntheticSpec(n=1, k=1, t=2, seed=4),
+    SyntheticSpec(n=7, k=7, p_in=1.0, p_out=0.5, t=7, disconnect_fraction=1.0, seed=5),
+    SyntheticSpec(n=50, k=3, p_in=1.0, p_out=0.0, disconnect_fraction=0.3, seed=6),
+    SyntheticSpec(n=91, k=7, p_in=0.3, p_out=0.05, disconnect_fraction=0.5, seed=7),
+])
+def test_synthetic_matches_the_dense_reference_draw(spec):
+    """The whole n × n draw, with n × n probability and upper-triangle masks,
+    gives the same graph and attributes as the row-at-a-time generator."""
+    n, k = spec.n, spec.k
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    block = np.repeat(np.arange(k), [n // k + (i < n % k) for i in range(k)])
+    prob = np.where(block[:, None] == block[None, :], spec.p_in, spec.p_out)
+    for a in range(0, 2 * min(int(round(spec.disconnect_fraction * k)), k // 2), 2):
+        pair = (block[:, None] == a) & (block[None, :] == a + 1)
+        prob[pair | pair.T] = 0.0
+    adj = np.triu(rng.random((n, n)) < prob, k=1)
+    path = [(v, v + 1) for v in range(n - 1) if block[v] == block[v + 1]]
+    reference = Graph(n, [*zip(*np.nonzero(adj)), *path])
+    cols = np.repeat(np.arange(k), [spec.t // k + (i < spec.t % k) for i in range(k)])
+    p_attr = np.where(block[:, None] == cols[None, :], 0.5 + spec.s / 2, 0.5 - spec.s / 2)
+
+    bundle = generate_synthetic(spec)
+    assert np.array_equal(bundle.graph.edge_u, reference.edge_u)
+    assert np.array_equal(bundle.graph.edge_v, reference.edge_v)
+    assert bundle.graph.dropped_duplicates == reference.dropped_duplicates
+    assert np.array_equal(bundle.attributes, rng.random((n, spec.t)) < p_attr)
+
+
 def test_synthetic_memory_is_linear_in_n():
     spec = SyntheticSpec(n=3000, k=10, p_in=0.02, p_out=0.001, disconnect_fraction=0.4)
     tracemalloc.start()
