@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -15,6 +16,9 @@ from comdet.data_io import (
     SyntheticSpec,
     adjacency_as_features,
     generate_synthetic,
+    load_dataset,
+    write_bundle,
+    write_results,
 )
 from comdet.graph import Graph, Partition
 from comdet.metrics import modularity, nmi
@@ -236,3 +240,63 @@ def test_public_surface_is_pinned():
         "write_bundle", "write_results",
     ]
     assert all(hasattr(comdet, name) for name in comdet.__all__)
+
+
+def _pinned_cfg(mode: RunMode) -> RunConfig:
+    # a tight CF radius keeps a dozen output communities, so every mode's
+    # metrics differ from every other's
+    return RunConfig(mode=mode, leiden_global_runs=3, epochs=12,
+                     hidden_dims=(16, 8, 6), seed=4,
+                     birch=BirchConfig(threshold_radius=0.15))
+
+
+def _metrics_digest(tmp_path, bundle, cfg: RunConfig) -> str:
+    res = run(bundle, cfg)
+    paths = write_results(tmp_path / cfg.mode.value, res.partition, res.metrics,
+                          cfg.snapshot(bundle.name), node_ids=bundle.node_ids)
+    return hashlib.sha256(paths["metrics"].read_bytes()).hexdigest()
+
+
+def _triplet_bundle(tmp_path) -> DatasetBundle:
+    """A block-model graph with bag-of-words triplet attributes, about 3%
+    nonzero. Every node first gets an explicit zero in the last column; one
+    ``(id, index)`` is then repeated with a new value and another with zero."""
+    src = generate_synthetic(SyntheticSpec(n=80, k=4, p_in=0.2, p_out=0.02, seed=11))
+    paths = write_bundle(src, tmp_path / "src")
+    rng = np.random.default_rng(13)
+    t = 300
+    rows, cols = np.nonzero(rng.random((src.n, t)) < 0.03)
+    values = rng.integers(1, 4, size=rows.size).tolist()
+    lines = [f"{i} {t - 1} 0" for i in range(src.n)]
+    lines += [f"{i} {j} {v}" for i, j, v in zip(rows, cols, values)]
+    lines += [f"{rows[0]} {cols[0]} 7.5", f"{rows[1]} {cols[1]} 0.0"]
+    attrs = tmp_path / "attrs.txt"
+    attrs.write_text("\n".join(lines) + "\n")
+    return load_dataset(paths["edges"], attrs, paths["labels"], name="triplets")
+
+
+@pytest.mark.parametrize("mode, digest", [
+    (RunMode.FULL,
+     "c84a3cf8bcd22ca77763fbae07422223b0b1a0fe62e82b385b0647693d354ccb"),
+    (RunMode.LM_ONLY,
+     "f8363bc6171aa9960b891fbcf4776951c357a08f6ba2ed404bc8b1ea26f9733c"),
+    (RunMode.LR_ONLY,
+     "d8cbf6aaed87ac93915490c2cabaafb1832450efbcf03b3fc1e805276f1c84a9"),
+    (RunMode.UNREFINED_LABELS,
+     "771525a831f7598e4aad96287f7980de1a254e4ec57bce6e0f2c28d1c66912e0"),
+    (RunMode.MODIFIED_SPLIT,
+     "6dfd85295e0c5c01706d9549b8e3f70dfc231dcb1be556796fc809dbc934c700"),
+])
+def test_run_metrics_are_pinned_per_mode(tmp_path, mode, digest):
+    """Literal sha256 of metrics.json (loss trace included) for every mode,
+    so a change to how the encoder's input is built that moves a bit fails."""
+    bundle = generate_synthetic(
+        SyntheticSpec(n=90, k=3, p_in=0.15, p_out=0.04, t=9, s=0.5,
+                      disconnect_fraction=0.5, seed=8))
+    assert _metrics_digest(tmp_path, bundle, _pinned_cfg(mode)) == digest
+
+
+def test_triplet_bundle_metrics_are_pinned(tmp_path):
+    bundle = _triplet_bundle(tmp_path)
+    assert _metrics_digest(tmp_path, bundle, _pinned_cfg(RunMode.FULL)) == (
+        "2245932ddadd52b63441e495aeafc9a8b90fe8793b846b55b22bb865d6a5b154")
