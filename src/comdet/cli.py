@@ -170,7 +170,10 @@ def _cmd_detect(args) -> int:
                   cfg.snapshot(bundle.name), node_ids=bundle.node_ids,
                   timings=result.timings)
     if args.save_model is not None:
-        save_checkpoint(result.model, args.save_model)
+        try:
+            save_checkpoint(result.model, args.save_model)
+        except OSError as exc:
+            raise DataError(f"--save-model: cannot write {args.save_model}: {exc}") from exc
     if args.json:
         record = _raw_metrics(result.metrics)
         record["out_dir"] = str(out)

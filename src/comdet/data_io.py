@@ -143,7 +143,8 @@ def _load_edges(path, index: dict[str, int], n: int) -> tuple[Graph, list[str]]:
     return g, notes
 
 
-def _load_attributes(path, index: dict[str, int], n: int) -> np.ndarray:
+def _load_attributes(path, index: dict[str, int], n: int) -> np.ndarray | sp.csr_matrix:
+    """Dense CSV rows as an array; sparse triplets as canonical CSR."""
     lines = _read_lines(path)
     seen = np.zeros(n, dtype=bool)
     unknown: list[str] = []
@@ -175,7 +176,7 @@ def _load_attributes(path, index: dict[str, int], n: int) -> np.ndarray:
         # past this check some known row carried a comma, so x has >= 1 column
         _check_known(path, "attribute ids", unknown)
     else:
-        triplets: list[tuple[int, int, float]] = []
+        rows, cols, vals = [], [], []
         for lineno, row in _fields(path, lines, "sparse attribute", "id index value"):
             i = index.get(row[0])
             if i is None:
@@ -188,18 +189,23 @@ def _load_attributes(path, index: dict[str, int], n: int) -> np.ndarray:
             if j < 0:
                 raise DataError(f"{path}:{lineno}: negative attribute index in {row!r}")
             seen[i] = True
-            triplets.append((i, j, v))
+            rows.append(i)
+            cols.append(j)
+            vals.append(v)
         _check_known(path, "attribute ids", unknown)
-        if not triplets:
+        if not rows:
             raise DataError(f"{path}: no attribute entries found")
-        x = np.zeros((n, max(j for _, j, _ in triplets) + 1))
-        for i, j, v in triplets:
-            x[i, j] = v
+        rows, cols, vals = map(np.array, (rows, cols, vals))
+        order = np.lexsort((cols, rows))  # stable: a repeated pair keeps file order
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        # the last value written for an (id, index) wins; zeros are not stored
+        keep = np.append((rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]), True) & (vals != 0)
+        x = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, cols.max() + 1))
     if not seen.all():
         ids = list(index)
         raise DataError(f"{path}: nodes without any attribute row: "
                         f"{_listed(ids[i] for i in np.flatnonzero(~seen))}")
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(x.data if sp.issparse(x) else x)):
         raise DataError(f"{path}: attribute matrix contains non-finite values")
     return x
 

@@ -8,10 +8,10 @@ rows). Backward passes mirror the forward chain step by step, and training is
 full-batch Adam. Everything is deterministic for a given seed.
 
 The first layer's input Â·X never changes, so ``GcnModel.propagate`` builds it
-once per attribute matrix and ``forward`` takes its result. Sparse attributes
-(bag-of-words rows are about 1% nonzero) stay in factored form: the first
-layer applies Â·(X·W) and Xᵀ·(Â·dZ) instead of materializing the dense n×T
-product Â·X, which can move the loss in its last bits.
+once per attribute matrix, and ``train`` and ``forward`` take its result.
+Sparse attributes (bag-of-words rows are about 1% nonzero) stay in factored
+form: the first layer applies Â·(X·W) and Xᵀ·(Â·dZ) instead of materializing
+the dense n×T product Â·X, which can move the loss in its last bits.
 """
 
 from __future__ import annotations
@@ -51,16 +51,11 @@ def selu_grad(z: np.ndarray) -> np.ndarray:
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:
-    """Symmetric normalization D^{-1/2} A D^{-1/2}; zero rows for isolated nodes."""
-    rows = np.concatenate([g.edge_u, g.edge_v])
-    cols = np.concatenate([g.edge_v, g.edge_u])
-    data = np.ones(rows.size, dtype=np.float64)
-    a = sp.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
-    with np.errstate(divide="ignore"):
-        dinv = 1.0 / np.sqrt(g.degrees.astype(np.float64))
-    dinv[g.degrees == 0] = 0.0
-    d = sp.diags(dinv)
-    return (d @ a @ d).tocsr()
+    """D^{-1/2} A D^{-1/2} on the graph's own CSR; isolated nodes get zero rows."""
+    dinv = 1.0 / np.sqrt(np.maximum(g.degrees, 1))
+    rows = np.repeat(np.arange(g.n), g.degrees)
+    return sp.csr_matrix((dinv[rows] * dinv[g.indices], g.indices, g.indptr),
+                         shape=(g.n, g.n))
 
 
 class GcnModel:
@@ -84,10 +79,6 @@ class GcnModel:
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             self.weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-
-    @property
-    def out_dim(self) -> int:
-        return self.hidden_dims[-1]
 
     def propagate(self, x) -> LinearOperator:
         """The first layer's constant input Â·X for dense or sparse attributes ``x``.
@@ -209,17 +200,16 @@ class TrainingDiverged(RuntimeError):
             f"weight norms {['%.3e' % x for x in weight_norms]}")
 
 
-def train(model: GcnModel, x, loss_provider, epochs: int = 300,
+def train(model: GcnModel, ax0: LinearOperator, loss_provider, epochs: int = 300,
           learning_rate: float = 0.001) -> tuple[GcnModel, list[float]]:
-    """Optimize the model full-batch; returns the model and per-epoch losses.
+    """Optimize the model full-batch from ``ax0 = model.propagate(x)``;
+    returns the model and per-epoch losses.
 
     ``loss_provider`` maps an embedding to ``(loss, d_loss/d_embedding)``.
-    Zero epochs (or a zero learning rate) leave the weights untouched. Â·X is
-    propagated once, before the first epoch.
+    Zero epochs (or a zero learning rate) leave the weights untouched.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
-    ax0 = model.propagate(x)
     adam = AdamState.for_weights(model.weights, lr=learning_rate)
     trace: list[float] = []
     for epoch in range(epochs):

@@ -22,19 +22,18 @@ import numpy as np
 
 from .graph import Graph, Partition, canonical_labels, split_into_components
 
+THETA = 0.01  # refinement draws a merge with probability ∝ exp(gain / THETA)
+
 
 @dataclass
 class LeidenConfig:
     """Knobs for :func:`leiden`. Quality is fixed to modularity at resolution 1."""
 
     max_passes: int = 20
-    theta: float = 0.01
 
     def __post_init__(self) -> None:
         if self.max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
-        if not self.theta > 0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
 
 
 class _LevelGraph:
@@ -168,8 +167,7 @@ def _draw(gains: list[float], theta: float, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _refine(lg: _LevelGraph, comm: list[int], rng: np.random.Generator,
-            theta: float) -> list[int]:
+def _refine(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> list[int]:
     """Sub-partition each community by merging singleton nodes into neighbors.
 
     Only nodes still alone are candidates, merges stay inside the node's
@@ -177,7 +175,7 @@ def _refine(lg: _LevelGraph, comm: list[int], rng: np.random.Generator,
     Edge weight per neighbouring group is summed in the level's ``scratch``
     list, and the touched groups are scored in ascending id order. Among
     admissible targets one is drawn with probability proportional to
-    exp(gain/theta) (:func:`_draw`), which keeps better merges likely while
+    exp(gain/THETA) (:func:`_draw`), which keeps better merges likely while
     letting the aggregation explore slightly different groupings per seed.
     """
     n = lg.n
@@ -219,7 +217,7 @@ def _refine(lg: _LevelGraph, comm: list[int], rng: np.random.Generator,
                 gains.append(float(gain) * scale)
         if not cands:
             continue
-        target = cands[0] if len(cands) == 1 else cands[_draw(gains, theta, rng)]
+        target = cands[0] if len(cands) == 1 else cands[_draw(gains, THETA, rng)]
         ref[v] = target
         ref_sigma[target] += kv
         ref_sigma[rv] -= kv
@@ -249,8 +247,7 @@ def _aggregate(lg: _LevelGraph, ref: np.ndarray,
     return _LevelGraph(keys // r, keys % r, w, strength, lg.two_m), new_comm.tolist()
 
 
-def _one_pass(g: Graph, start: np.ndarray, rng: np.random.Generator,
-              theta: float) -> np.ndarray:
+def _one_pass(g: Graph, start: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One full multilevel pass starting from the given flat partition."""
     lg = _LevelGraph.from_graph(g)
     comm = canonical_labels(start).tolist()
@@ -261,7 +258,7 @@ def _one_pass(g: Graph, start: np.ndarray, rng: np.random.Generator,
         comm = dense.tolist()
         if int(dense.max()) + 1 == lg.n:
             break
-        ref = canonical_labels(np.asarray(_refine(lg, comm, rng, theta), dtype=np.int64))
+        ref = canonical_labels(np.asarray(_refine(lg, comm, rng), dtype=np.int64))
         if int(ref.max()) + 1 == lg.n:
             break  # nothing merged; aggregation would be the identity
         lg, comm = _aggregate(lg, ref, comm)
@@ -282,7 +279,7 @@ def leiden(g: Graph, config: LeidenConfig | None = None,
     comm = np.arange(g.n, dtype=np.int64)
     prev = comm.copy()
     for _ in range(cfg.max_passes):
-        comm = _one_pass(g, comm, rng, cfg.theta)
+        comm = _one_pass(g, comm, rng)
         comm = split_into_components(g, Partition(comm)).assignment
         comm = canonical_labels(comm)
         if np.array_equal(comm, prev):

@@ -185,13 +185,16 @@ def run(bundle: DatasetBundle, cfg: RunConfig | None = None) -> RunResult:
 
     model = GcnModel(g, in_dim=bundle.t, hidden_dims=cfg.hidden_dims,
                      seed=_derived_seed(cfg.seed, 2))
-    _, trace = staged("train", lambda: train(
-        model, bundle.attributes, provider, epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate))
+
+    def fit():  # Â·X is built once, for training and for clustering
+        ax0 = model.propagate(bundle.attributes)
+        return ax0, train(model, ax0, provider, cfg.epochs, cfg.learning_rate)[1]
+
+    ax0, trace = staged("train", fit)
 
     # stage 4: cluster the final embedding
     def cluster():
-        xe, _ = model.forward(model.propagate(bundle.attributes))
+        xe, _ = model.forward(ax0)
         cs = birch_cluster(xe, cfg.birch)
         if cfg.mode is RunMode.MODIFIED_SPLIT:
             cs = split_into_components(g, cs)

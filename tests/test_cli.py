@@ -67,6 +67,19 @@ def test_runtime_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "pipeline stage 'train' failed: loss overflow" in capsys.readouterr().err
 
 
+def test_unwritable_save_model_exits_2_naming_the_flag(tmp_path, capsys):
+    data = _fixture(tmp_path, n=60)
+    model = tmp_path / "model.bin"
+    assert main(_detect_args(data, tmp_path / "o", ["--save-model", str(model)])) == 0
+    assert model.stat().st_size > 0
+    missing = tmp_path / "no-such-dir" / "model.bin"
+    capsys.readouterr()
+    code = main(_detect_args(data, tmp_path / "o", ["--save-model", str(missing)]))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: --save-model: cannot write {missing}: ")
+
+
 @pytest.mark.parametrize("cmd, flags, needle", [
     ("detect", ["--birch-threshold", "-1"], "threshold_radius must be > 0, got -1.0"),
     ("detect", ["--branching-factor", "1"], "branching_factor must be >= 2, got 1"),

@@ -121,7 +121,7 @@ def test_sparse_triplet_attributes(tmp_path):
     l = _write(tmp_path, "l", "a u\nb v\n")
     bundle = load_dataset(e, x, l)
     assert bundle.t == 4
-    assert np.array_equal(bundle.attributes,
+    assert np.array_equal(bundle.attributes.toarray(),
                           [[1.5, 0, 0, 2.0], [0, 4.0, 0, 0]])
 
 
@@ -178,7 +178,7 @@ def test_comment_with_comma_keeps_triplet_shape(tmp_path):
     e = _write(tmp_path, "e", "a b\n")
     x = _write(tmp_path, "x", "# c, d\na 0 1\nb 0 2\n")
     l = _write(tmp_path, "l", "a u\nb v\n")
-    assert np.array_equal(load_dataset(e, x, l).attributes, [[1], [2]])
+    assert np.array_equal(load_dataset(e, x, l).attributes.toarray(), [[1], [2]])
 
 
 @pytest.mark.parametrize("name, text, lineno", [
@@ -225,7 +225,7 @@ def test_repeated_triplets_keep_the_last_value(tmp_path):
     e = _write(tmp_path, "e", "a b\n")
     x = _write(tmp_path, "x", "a 0 1\nb 1 2\na 0 5\nb 1 0\n")
     l = _write(tmp_path, "l", "a u\nb v\n")
-    assert np.array_equal(load_dataset(e, x, l).attributes, [[5, 0], [0, 0]])
+    assert np.array_equal(load_dataset(e, x, l).attributes.toarray(), [[5, 0], [0, 0]])
 
 
 def test_comment_and_blank_lines_ignored(tmp_path):
@@ -276,6 +276,26 @@ def test_attribute_free_load_stays_sparse(tmp_path):
     assert peak < 50e6
     assert sp.issparse(bundle.attributes)
     assert bundle.attributes.shape == (n, n)
+
+
+def test_triplet_load_holds_no_dense_array(tmp_path):
+    # 1% of a 2000 x 2000 matrix as triplets; the dense array is 32 MB. The
+    # text lines cost about 300 bytes per triplet (12.5 MB here), so at 1%
+    # density the whole load fits under half of one dense array, not a tenth
+    rng = np.random.default_rng(17)
+    n, t = 2000, 2000
+    rows, cols = np.nonzero(rng.random((n, t)) < 0.01)
+    e = _write(tmp_path, "e", "n0 n1\n")
+    x = _write(tmp_path, "x", "".join(f"n{i} {j} 1\n" for i, j in zip(rows, cols)))
+    l = _write(tmp_path, "l", "".join(f"n{i} {i % 7}\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        bundle = load_dataset(e, x, l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * t * 8 / 2
+    assert bundle.attributes.nnz == rows.size
 
 
 def test_sparse_attributes_validate_and_write_dense_rows(tmp_path):

@@ -64,6 +64,34 @@ def test_normalized_adjacency_isolated_node_zero_row():
     assert np.all(np.isfinite(a))
 
 
+def _coo_normalized_adjacency(g: Graph) -> sp.csr_matrix:
+    """The earlier construction: CSR rebuilt from both edge directions, then
+    two products with the diagonal D^{-1/2}."""
+    rows = np.concatenate([g.edge_u, g.edge_v])
+    cols = np.concatenate([g.edge_v, g.edge_u])
+    a = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(g.n, g.n))
+    with np.errstate(divide="ignore"):
+        dinv = 1.0 / np.sqrt(g.degrees.astype(np.float64))
+    dinv[g.degrees == 0] = 0.0
+    d = sp.diags(dinv)
+    return (d @ a @ d).tocsr()
+
+
+def test_normalized_adjacency_is_bit_equal_to_the_coo_construction():
+    rng = np.random.default_rng(83)
+    graphs = [Graph(0), Graph(3), Graph(4, [(0, 1), (1, 2)])]
+    for _ in range(40):
+        n = int(rng.integers(1, 60))
+        graphs.append(Graph(n, rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))))
+    graphs.append(generate_synthetic(SyntheticSpec(seed=42)).graph)
+    for g in graphs:
+        got, ref = normalized_adjacency(g), _coo_normalized_adjacency(g)
+        assert got.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (g, name)
+
+
 def _scalar_embed(t: float) -> float:
     """One-column embedding head applied to a single last-layer value."""
     den = t + EPS * (1.0 if t >= 0 else -1.0)
@@ -259,7 +287,7 @@ def test_train_reduces_loss():
         return value, grad
 
     model = GcnModel(g, in_dim=6, hidden_dims=(8, 6, 4), seed=5)
-    _, trace = train(model, x, provider, epochs=60, learning_rate=0.01)
+    _, trace = train(model, model.propagate(x), provider, epochs=60, learning_rate=0.01)
     assert len(trace) == 60
     assert trace[-1] < trace[0]
     assert min(trace) < 0.9 * trace[0]
@@ -276,11 +304,11 @@ def test_train_zero_epochs_and_zero_lr_keep_weights():
         value, grad = total_loss(target, target, xe, 1.0)
         return value, grad
 
-    _, trace = train(model, x, provider, epochs=0)
+    _, trace = train(model, model.propagate(x), provider, epochs=0)
     assert trace == []
     assert all(np.array_equal(a, b) for a, b in zip(model.weights, before))
 
-    _, trace = train(model, x, provider, epochs=5, learning_rate=0.0)
+    _, trace = train(model, model.propagate(x), provider, epochs=5, learning_rate=0.0)
     assert len(trace) == 5
     assert all(v == trace[0] for v in trace)
     assert all(np.array_equal(a, b) for a, b in zip(model.weights, before))
@@ -294,7 +322,7 @@ def test_training_diverged_carries_diagnostics():
         return float("inf"), np.zeros_like(xe)
 
     with pytest.raises(TrainingDiverged) as info:
-        train(model, np.ones((2, 1)), exploding, epochs=10)
+        train(model, model.propagate(np.ones((2, 1))), exploding, epochs=10)
     err = info.value
     assert err.epoch == 0
     assert math.isinf(err.loss)
@@ -323,7 +351,7 @@ def test_train_is_deterministic():
     runs = []
     for _ in range(2):
         model = GcnModel(g, in_dim=4, hidden_dims=(5, 4, 3), seed=21)
-        model, trace = train(model, x, provider, epochs=25)
+        model, trace = train(model, model.propagate(x), provider, epochs=25)
         runs.append((trace, [w.copy() for w in model.weights]))
     assert runs[0][0] == runs[1][0]
     assert all(np.array_equal(a, b) for a, b in zip(runs[0][1], runs[1][1]))

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
 import comdet
@@ -20,6 +21,7 @@ from comdet.data_io import (
     write_bundle,
     write_results,
 )
+from comdet.gcn import GcnModel
 from comdet.graph import Graph, Partition
 from comdet.metrics import modularity, nmi
 from comdet.pipeline import (
@@ -300,3 +302,29 @@ def test_triplet_bundle_metrics_are_pinned(tmp_path):
     bundle = _triplet_bundle(tmp_path)
     assert _metrics_digest(tmp_path, bundle, _pinned_cfg(RunMode.FULL)) == (
         "2245932ddadd52b63441e495aeafc9a8b90fe8793b846b55b22bb865d6a5b154")
+
+
+def test_triplet_attributes_are_canonical_csr_and_run_like_their_dense_array(tmp_path):
+    bundle = _triplet_bundle(tmp_path)
+    x = bundle.attributes
+    assert sp.isspmatrix_csr(x) and x.shape == (80, 300)
+    assert x.has_canonical_format and np.all(x.data != 0)
+    dense = DatasetBundle(bundle.graph, x.toarray(), bundle.labels, bundle.node_ids,
+                          name=bundle.name)
+    runs = [run(b, _pinned_cfg(RunMode.FULL)) for b in (bundle, dense)]
+    assert runs[0].metrics == runs[1].metrics
+    assert runs[0].partition == runs[1].partition
+
+
+def test_run_propagates_the_attributes_once(monkeypatch):
+    calls = []
+    propagate = GcnModel.propagate
+
+    def counted(self, x):
+        calls.append(x)
+        return propagate(self, x)
+
+    monkeypatch.setattr(GcnModel, "propagate", counted)
+    bundle = generate_synthetic(SyntheticSpec(n=40, k=2, p_in=0.5, p_out=0.05, t=4, seed=16))
+    run(bundle, _small_cfg(epochs=5))
+    assert len(calls) == 1 and calls[0] is bundle.attributes
