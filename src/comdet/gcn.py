@@ -16,6 +16,7 @@ the dense n×T product Â·X, which can move the loss in its last bits.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -240,16 +241,22 @@ def load_checkpoint(path, g: Graph) -> GcnModel:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not a model checkpoint (bad magic {magic!r})")
-        version, seed, in_dim, d1, d2, d3 = struct.unpack("<IqIIII", fh.read(28))
+        header = fh.read(28)
+        if len(header) != 28:
+            raise ValueError("checkpoint truncated")
+        version, seed, in_dim, d1, d2, d3 = struct.unpack("<IqIIII", header)
         if version != _VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        model = GcnModel(g, in_dim, (d1, d2, d3), seed=seed)
         dims = (in_dim, d1, d2, d3)
-        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        shapes = list(zip(dims[:-1], dims[1:]))
+        # sizes are checked before the model, so a bad header allocates nothing
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        need = 8 * sum(fan_in * fan_out for fan_in, fan_out in shapes)
+        if left != need:
+            raise ValueError("checkpoint truncated" if left < need
+                             else "trailing bytes after checkpoint payload")
+        model = GcnModel(g, in_dim, (d1, d2, d3), seed=seed)
+        for i, (fan_in, fan_out) in enumerate(shapes):
             raw = fh.read(8 * fan_in * fan_out)
-            if len(raw) != 8 * fan_in * fan_out:
-                raise ValueError("checkpoint truncated")
             model.weights[i] = np.frombuffer(raw, dtype="<f8").reshape(fan_in, fan_out).copy()
-        if fh.read(1):
-            raise ValueError("trailing bytes after checkpoint payload")
     return model

@@ -13,6 +13,7 @@ bit-deterministic for a given seed.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -68,7 +69,7 @@ class _LevelGraph:
         return cls(src, g.indices, np.ones_like(g.indices), g.degrees, 2 * g.m)
 
 
-def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> bool:
+def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> None:
     """Move nodes to strictly better communities until none exists.
 
     Each attempt sums the node's edge weight per neighbouring community into
@@ -82,11 +83,9 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> b
     After the FIFO queue drains, full sweeps re-check every node: a move
     changes sigma_tot of two communities, which can flip the best choice of
     nodes that are not adjacent to the mover, so queue exhaustion alone does
-    not certify the fixpoint. Returns True when any node moved.
+    not certify the fixpoint.
     """
     n = lg.n
-    if n == 0:
-        return False
     two_m = lg.two_m
     strength = lg.strength
     nbrs, ws = lg.nbrs, lg.ws
@@ -101,7 +100,6 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> b
 
     queue = deque(rng.permutation(n).tolist())
     in_queue = [True] * n
-    moved_any = False
 
     def attempt(v: int) -> bool:
         cv = comm[v]
@@ -140,15 +138,13 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> b
         while queue:
             v = queue.popleft()
             in_queue[v] = False
-            if attempt(v):
-                moved_any = True
+            attempt(v)
         improved = False
         for v in range(n):
             if attempt(v):
-                moved_any = True
                 improved = True
-        if not improved and not queue:
-            return moved_any
+        if not improved:  # a sweep that moved nothing enqueued nothing
+            return
 
 
 def _draw(gains: list[float], theta: float, rng: np.random.Generator) -> int:
@@ -247,11 +243,14 @@ def _aggregate(lg: _LevelGraph, ref: np.ndarray,
     return _LevelGraph(keys // r, keys % r, w, strength, lg.two_m), new_comm.tolist()
 
 
-def _one_pass(g: Graph, start: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One full multilevel pass starting from the given flat partition."""
-    lg = _LevelGraph.from_graph(g)
-    comm = canonical_labels(start).tolist()
-    leaf = np.arange(g.n, dtype=np.int64)
+def _one_pass(lg: _LevelGraph, start: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One multilevel pass over level-0 graph ``lg`` from canonical ``start``.
+
+    Returns dense labels in no canonical order. ``lg`` comes back unchanged
+    (its ``scratch`` is zeroed after each use), so one serves every pass.
+    """
+    comm = start.tolist()
+    leaf = np.arange(lg.n, dtype=np.int64)
     while lg.n:
         _local_move(lg, comm, rng)
         dense = canonical_labels(np.asarray(comm, dtype=np.int64))
@@ -263,8 +262,7 @@ def _one_pass(g: Graph, start: np.ndarray, rng: np.random.Generator) -> np.ndarr
             break  # nothing merged; aggregation would be the identity
         lg, comm = _aggregate(lg, ref, comm)
         leaf = ref[leaf]
-    flat = np.asarray(comm, dtype=np.int64)[leaf] if g.n else np.empty(0, dtype=np.int64)
-    return canonical_labels(flat)
+    return np.asarray(comm, dtype=np.int64)[leaf]
 
 
 def leiden(g: Graph, config: LeidenConfig | None = None,
@@ -276,15 +274,14 @@ def leiden(g: Graph, config: LeidenConfig | None = None,
     """
     cfg = config if config is not None else LeidenConfig()
     rng = np.random.default_rng(seed)
+    lg = _LevelGraph.from_graph(g)
     comm = np.arange(g.n, dtype=np.int64)
-    prev = comm.copy()
     for _ in range(cfg.max_passes):
-        comm = _one_pass(g, comm, rng)
-        comm = split_into_components(g, Partition(comm)).assignment
-        comm = canonical_labels(comm)
-        if np.array_equal(comm, prev):
+        split = split_into_components(g, Partition(_one_pass(lg, comm, rng)))
+        nxt = canonical_labels(split.assignment)
+        if np.array_equal(nxt, comm):
             break
-        prev = comm.copy()
+        comm = nxt
     return Partition(comm)
 
 
@@ -297,22 +294,20 @@ def best_of_runs(g: Graph, runs: int, score, config: LeidenConfig | None = None,
     index. Run seeds are spawned deterministically from ``seed`` (an
     integer, a numpy integer or a ``SeedSequence``, whose spawn key they
     extend; ``None`` counts as 0), so repeated calls reproduce the same
-    winner. When ``min(parallel, runs) > 1`` the runs go to a process pool
-    of that many ``spawn`` workers, whatever the platform's default start
-    method; results match the serial ones.
+    winner. The seeds come from a copy, so a caller's ``SeedSequence`` is
+    not advanced. When ``min(parallel, runs, os.cpu_count())`` is above 1
+    the runs go to a process pool of that many ``spawn`` workers, whatever
+    the platform's default start method; results match the serial ones.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
-    if isinstance(seed, np.random.SeedSequence):
-        entropy, key = seed.entropy, seed.spawn_key
-    else:
-        entropy, key = (0 if seed is None else int(seed)), ()
-    seeds = [np.random.SeedSequence(entropy=entropy, spawn_key=key + (i,))
-             for i in range(runs)]
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(0 if seed is None else int(seed))
+    seeds = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key).spawn(runs)
     one_run = partial(leiden, g, config)
-    workers = min(parallel, runs)
+    workers = min(parallel, runs, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:

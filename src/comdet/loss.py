@@ -21,8 +21,6 @@ class PairwiseTarget:
         if n == 0:
             raise ValueError("cannot build a target from an empty partition")
         self.n = n
-        self.k = k
-        self.assignment = partition.assignment
         self.onehot = sp.csr_matrix(
             (np.ones(n), partition.assignment, np.arange(n + 1, dtype=np.int64)),
             shape=(n, k))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from comdet.graph import Graph, Partition
 from comdet.loss import PairwiseTarget, total_loss
 
 from conftest import random_connected_graph, random_graph, random_partition
+
+gcn_module = importlib.import_module("comdet.gcn")
 
 
 def test_selu_hand_values():
@@ -407,6 +411,29 @@ def test_checkpoint_rejects_corruption(tmp_path):
     padded.write_bytes(raw + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         load_checkpoint(padded, g)
+
+    short_header = tmp_path / "short_header.bin"
+    short_header.write_bytes(raw[:10])
+    with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(short_header, g)
+
+
+def test_checkpoint_checks_payload_size_before_building_a_model(tmp_path, monkeypatch):
+    """A header that claims huge layers over an empty payload is rejected
+    before any model, and so any weight of the claimed size, is made."""
+    g = Graph(2, [(0, 1)])
+    path = tmp_path / "model.bin"
+    save_checkpoint(GcnModel(g, in_dim=1, hidden_dims=(2, 2, 2), seed=1), path)
+    raw = path.read_bytes()
+    big = 2**31
+    path.write_bytes(raw[:8] + struct.pack("<qIIII", 1, big, big, big, big))
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("GcnModel built from an unchecked header")
+
+    monkeypatch.setattr(gcn_module, "GcnModel", no_model)
+    with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(path, g)
 
 
 def test_propagate_validates_attribute_shape():

@@ -173,19 +173,26 @@ class _SerialPool:
 
 
 def test_best_of_runs_pool_has_at_most_one_worker_per_run(monkeypatch):
+    """The pool has at most one worker per run and per CPU; one CPU, or a
+    CPU count the platform cannot tell (``None``), means no pool."""
     monkeypatch.setattr(_SerialPool, "sizes", [])
     monkeypatch.setattr(_SerialPool, "methods", [])
     monkeypatch.setattr(leiden_module, "ProcessPoolExecutor", _SerialPool)
+    cpus = [64]
+    monkeypatch.setattr(leiden_module.os, "cpu_count", lambda: cpus[0])
     g = random_graph(np.random.default_rng(33), 40, 0.1)
     score = lambda p: modularity(g, p)  # noqa: E731
     serial = best_of_runs(g, 3, score, seed=5)
-    for parallel, workers in ((2, 2), (3, 3), (8, 3)):
+    for cpus[0], parallel, workers in ((64, 2, 2), (64, 3, 3), (64, 8, 3), (2, 8, 2)):
         assert best_of_runs(g, 3, score, seed=5,
                             parallel=parallel) == serial
         assert _SerialPool.sizes[-1] == workers
+    for cpus[0] in (1, None):
+        assert best_of_runs(g, 3, score, seed=5, parallel=8) == serial
+    cpus[0] = 64
     best_of_runs(g, 1, score, parallel=4)  # one run, one worker: no pool
-    assert _SerialPool.sizes == [2, 3, 3]
-    assert _SerialPool.methods == ["spawn"] * 3
+    assert _SerialPool.sizes == [2, 3, 3, 2]
+    assert _SerialPool.methods == ["spawn"] * 4
 
 
 def test_parallel_runs_match_sequential():
@@ -250,7 +257,7 @@ def test_local_move_breaks_equal_gains_to_the_lowest_id(comm):
     low = min(comm[1], comm[3])
     for seed in range(6):
         got = list(comm)
-        assert _local_move(lg, got, np.random.default_rng(seed))
+        _local_move(lg, got, np.random.default_rng(seed))
         assert got == [low] + comm[1:]
 
 
@@ -343,8 +350,54 @@ def test_best_of_runs_honours_numpy_and_seed_sequence_seeds():
     five = pick(5)
     assert five != pick(0)
     assert pick(np.int64(5)) == five
-    assert pick(np.random.SeedSequence(5)) == five  # spawn keys (i,) under entropy 5
+    seq = np.random.SeedSequence(5)
+    assert pick(seq) == five  # spawn keys (i,) under entropy 5
+    assert seq.n_children_spawned == 0  # run seeds are spawned from a copy
+    assert pick(seq) == five
+    seq.spawn(2)  # children the caller spawned do not shift the run seeds
+    assert pick(seq) == five
     assert pick(None) == pick(0)
+
+
+def test_local_move_and_refine_leave_level_graphs_as_they_found_them():
+    """Both loops zero every ``scratch`` entry they touch, at level 0 and at
+    an aggregated level, and a whole pass leaves level 0 unchanged, so one
+    level-0 graph can serve every pass of a ``leiden`` call."""
+    rng = np.random.default_rng(600)
+    shrunk = 0
+    for trial in range(30):
+        n = int(rng.integers(2, 90))
+        g = random_graph(rng, n, float(rng.uniform(0.03, 0.3)))
+        lg = _LevelGraph.from_graph(g)
+        comm = list(range(n))
+        for level in range(2):
+            shrunk += level and lg.n < n
+            _local_move(lg, comm, rng)
+            assert lg.scratch == [0] * lg.n
+            comm = canonical_labels(np.asarray(comm)).tolist()
+            ref = canonical_labels(np.asarray(_refine(lg, comm, rng)))
+            assert lg.scratch == [0] * lg.n
+            lg, comm = _aggregate(lg, ref, comm)
+        level0 = _LevelGraph.from_graph(g)
+        leiden_module._one_pass(level0, np.arange(n), rng)
+        fresh = _LevelGraph.from_graph(g)
+        for name in ("strength", "nbrs", "ws", "scratch"):
+            assert getattr(level0, name) == getattr(fresh, name)
+    assert shrunk == 30  # every trial reaches a smaller aggregated level
+
+
+def test_leiden_builds_level_zero_once_per_call(monkeypatch):
+    """Every pass reuses the level-0 graph built at the start of the call."""
+    builds, passes = [], []
+    build, split = _LevelGraph.from_graph, leiden_module.split_into_components
+    monkeypatch.setattr(_LevelGraph, "from_graph",
+                        staticmethod(lambda g: builds.append(g) or build(g)))
+    monkeypatch.setattr(leiden_module, "split_into_components",
+                        lambda g, p: passes.append(p) or split(g, p))
+    g = random_graph(np.random.default_rng(2024), 60, 0.08)
+    leiden(g, seed=0)
+    assert builds == [g]
+    assert len(passes) >= 2
 
 
 @pytest.mark.parametrize("kwargs, value", [
