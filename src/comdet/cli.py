@@ -115,8 +115,8 @@ def _run_config(args) -> RunConfig:
     if getattr(args, "config", None) is not None:
         p = _require_file(args.config, "--config")
         try:
-            given = json.loads(p.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            given = json.loads(p.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"--config: cannot parse {p}: {exc}") from exc
         if not isinstance(given, dict):
             raise DataError(f"--config: {p} must hold a JSON object")
@@ -154,8 +154,10 @@ def _load_bundle(args):
     edges = _require_file(args.edges, "--edges")
     labels = _require_file(args.labels, "--labels")
     attrs = _require_file(args.attrs, "--attrs") if args.attrs is not None else None
-    return load_dataset(edges, attrs, labels,
-                        name=getattr(args, "name", None))
+    bundle = load_dataset(edges, attrs, labels, name=getattr(args, "name", None))
+    for note in bundle.notes:
+        print(f"note: {note}", file=sys.stderr)
+    return bundle
 
 
 def _cmd_detect(args) -> int:

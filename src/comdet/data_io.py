@@ -41,12 +41,12 @@ class DataError(Exception):
 class DatasetBundle:
     """A network, its node attributes, and its human-labeled communities.
 
-    ``attributes`` is a dense array or a scipy sparse matrix (attribute-free
-    bundles carry their adjacency rows as CSR).
+    ``attributes`` may be dense or sparse; the bundle keeps a canonical
+    float64 CSR copy (sorted indices, duplicates summed, no stored zeros).
     """
 
     graph: Graph
-    attributes: np.ndarray | sp.csr_matrix
+    attributes: sp.csr_matrix
     labels: Partition
     node_ids: list[str]
     name: str = "unnamed"
@@ -62,8 +62,11 @@ class DatasetBundle:
             raise DataError(f"labels cover {self.labels.n} nodes, graph has {n}")
         if len(self.node_ids) != n:
             raise DataError(f"{len(self.node_ids)} node ids for {n} nodes")
-        values = self.attributes.data if sp.issparse(self.attributes) else self.attributes
-        if not np.all(np.isfinite(values)):
+        # copied first: both canonicalizing calls work in place
+        self.attributes = sp.csr_matrix(self.attributes, dtype=np.float64, copy=True)
+        self.attributes.sum_duplicates()
+        self.attributes.eliminate_zeros()
+        if not np.all(np.isfinite(self.attributes.data)):
             raise DataError("attribute matrix contains non-finite values")
 
     @property
@@ -79,9 +82,11 @@ def _read_lines(path) -> list[tuple[int, str]]:
     """``(line number, stripped text)`` of every data line: blank lines and
     ``#`` comments are skipped."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     return [(lineno, stripped) for lineno, line in enumerate(text.splitlines(), 1)
             if (stripped := line.strip()) and not stripped.startswith("#")]
 
@@ -143,8 +148,8 @@ def _load_edges(path, index: dict[str, int], n: int) -> tuple[Graph, list[str]]:
     return g, notes
 
 
-def _load_attributes(path, index: dict[str, int], n: int) -> np.ndarray | sp.csr_matrix:
-    """Dense CSV rows as an array; sparse triplets as canonical CSR."""
+def _load_attributes(path, index: dict[str, int], n: int) -> sp.csr_matrix:
+    """Dense CSV rows or sparse triplets, as CSR."""
     lines = _read_lines(path)
     seen = np.zeros(n, dtype=bool)
     unknown: list[str] = []
@@ -175,6 +180,7 @@ def _load_attributes(path, index: dict[str, int], n: int) -> np.ndarray | sp.csr
             x[i] = values
         # past this check some known row carried a comma, so x has >= 1 column
         _check_known(path, "attribute ids", unknown)
+        x = sp.csr_matrix(x)
     else:
         rows, cols, vals = [], [], []
         for lineno, row in _fields(path, lines, "sparse attribute", "id index value"):
@@ -205,7 +211,7 @@ def _load_attributes(path, index: dict[str, int], n: int) -> np.ndarray | sp.csr
         ids = list(index)
         raise DataError(f"{path}: nodes without any attribute row: "
                         f"{_listed(ids[i] for i in np.flatnonzero(~seen))}")
-    if not np.all(np.isfinite(x.data if sp.issparse(x) else x)):
+    if not np.all(np.isfinite(x.data)):
         raise DataError(f"{path}: attribute matrix contains non-finite values")
     return x
 
@@ -338,7 +344,7 @@ def _json_text(record: dict) -> str:
 
 def _write_text(path: Path, text: str) -> None:
     try:
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
@@ -397,10 +403,11 @@ def write_bundle(bundle: DatasetBundle, out_dir) -> dict[str, Path]:
     _write_text(paths["edges"], "".join(
         f"{ids[u]}\t{ids[v]}\n" for u, v in zip(g.edge_u, g.edge_v)))
     x = bundle.attributes
-    row = (lambda i: x[i].toarray()[0]) if sp.issparse(x) else (lambda i: x[i])
+    # np.bincount spreads each CSR row into a dense row of width T
     _write_text(paths["attrs"], "".join(
-        ids[i] + "," + ",".join(_format_value(v) for v in row(i)) + "\n"
-        for i in range(bundle.n)))
+        ids[i] + "," + ",".join(_format_value(v) for v in np.bincount(
+            x.indices[lo:hi], x.data[lo:hi], bundle.t)) + "\n"
+        for i, (lo, hi) in enumerate(zip(x.indptr[:-1], x.indptr[1:]))))
     _write_partition(paths["labels"], ids, bundle.labels)
     if bundle.planted is not None:
         paths["planted"] = out / "planted.tsv"

@@ -89,19 +89,14 @@ class GcnModel:
         result applies Â and X as two sparse factors; otherwise it wraps the
         dense product ``a_norm @ x``, computed here once.
         """
-        if sp.issparse(x):
-            x = sp.csr_matrix(x, dtype=np.float64)
-            nnz = x.count_nonzero()
-        else:
-            x = np.asarray(x, dtype=np.float64)
-            nnz = np.count_nonzero(x)
+        x = sp.csr_matrix(x, dtype=np.float64)
         n = self.a_norm.shape[0]
         if x.shape != (n, self.in_dim):
             raise ValueError(
                 f"expected attributes of shape {(n, self.in_dim)}, got {x.shape}")
-        if _SPARSE_COST * (nnz + self.a_norm.nnz) < n * self.in_dim:
-            return aslinearoperator(self.a_norm) @ aslinearoperator(sp.csr_matrix(x))
-        return aslinearoperator(self.a_norm @ (x.toarray() if sp.issparse(x) else x))
+        if _SPARSE_COST * (x.count_nonzero() + self.a_norm.nnz) < n * self.in_dim:
+            return aslinearoperator(self.a_norm) @ aslinearoperator(x)
+        return aslinearoperator(self.a_norm @ x.toarray())
 
     def forward(self, ax0: LinearOperator) -> tuple[np.ndarray, dict]:
         """Embed from ``ax0 = propagate(x)``; returns (embedding, cache for backward)."""
@@ -187,6 +182,17 @@ class AdamState:
             m_hat = self.m[i] / (1.0 - ADAM_BETA1 ** self.t)
             v_hat = self.v[i] / (1.0 - ADAM_BETA2 ** self.t)
             w -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def training_bytes(n: int, in_dim: int, hidden_dims: tuple[int, int, int]) -> int:
+    """Float64 bytes that training holds: the weights, their gradients and
+    both Adam moments, plus the cache of one forward pass over ``n`` nodes."""
+    d1, d2, d3 = hidden_dims
+    weights = in_dim * d1 + d1 * d2 + d2 * d3
+    # z of every layer, Â·h into layers 2 and 3, h3, xh and u, and the
+    # per-row den, r and s
+    cache = n * (2 * d1 + 2 * d2 + 4 * d3 + 3)
+    return 8 * (4 * weights + cache)
 
 
 class TrainingDiverged(RuntimeError):

@@ -11,6 +11,7 @@ or split disconnected output communities as a post-process.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -18,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .birch import BirchConfig, birch_cluster
-from .data_io import DatasetBundle
-from .gcn import GcnModel, train
+from .data_io import DataError, DatasetBundle
+from .gcn import GcnModel, train, training_bytes
 from .graph import Graph, Partition, split_into_components
 from .leiden import LeidenConfig, best_of_runs
 from .loss import PairwiseTarget, pairwise_loss, total_loss
@@ -125,6 +126,14 @@ def _derived_seed(master: int, stage: int) -> int:
                                       spawn_key=(stage,)).generate_state(1)[0])
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, or 0 where the platform cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return 0
+
+
 def metric_report(g: Graph, labels: Partition, cs: Partition) -> dict:
     """Quality record for a candidate structure against the human labels."""
     _, con = conductance(g, cs)
@@ -143,6 +152,13 @@ def run(bundle: DatasetBundle, cfg: RunConfig | None = None) -> RunResult:
     if cfg is None:
         cfg = RunConfig()
     g, labels = bundle.graph, bundle.labels
+    # refused before the first stage, so a model that cannot fit costs no
+    # Leiden or refinement time
+    need, have = training_bytes(bundle.n, bundle.t, cfg.hidden_dims), _physical_memory()
+    if 0 < have < need:
+        raise DataError(f"the encoder for T={bundle.t} attribute columns and "
+                        f"hidden_dims={cfg.hidden_dims} needs {need} bytes to train, "
+                        f"more than the {have} bytes of physical memory")
     mu = resolve_mu(bundle.name, cfg.mu)
     timings: dict[str, float] = {}
 

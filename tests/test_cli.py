@@ -80,6 +80,73 @@ def test_unwritable_save_model_exits_2_naming_the_flag(tmp_path, capsys):
         f"error: --save-model: cannot write {missing}: ")
 
 
+@pytest.mark.parametrize("flag", ["--labels", "--edges", "--attrs", "--assignment",
+                                  "--config"])
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, monkeypatch, flag):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a pipeline stage ran")
+
+    data = _fixture(tmp_path)
+    main(["leiden", "--edges", str(data / "edges.tsv"), "--labels", str(data / "labels.tsv"),
+          "--runs", "1", "--out", str(tmp_path / "p")])
+    files = {"--labels": data / "labels.tsv", "--edges": data / "edges.tsv",
+             "--attrs": data / "attrs.csv", "--assignment": tmp_path / "p" / "assignment.tsv",
+             "--config": tmp_path / "cfg.json"}
+    files["--config"].write_text("{}")
+    bad = files[flag]
+    bad.write_bytes(bad.read_bytes()[:20] + b"\xff\n")
+    monkeypatch.setattr(pipeline, "best_of_runs", no_stage)
+    cmd = (["metrics", "--assignment", str(files["--assignment"])] if flag == "--assignment"
+           else ["detect", "--config", str(files["--config"]), "--out", str(tmp_path / "o")])
+    capsys.readouterr()
+    code = main([*cmd, "--edges", str(files["--edges"]), "--attrs", str(files["--attrs"]),
+                 "--labels", str(files["--labels"])])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert str(bad) in err and "0xff" in err
+    if flag != "--config":
+        assert err.startswith(f"error: {bad}: not UTF-8 text (")
+
+
+def test_bundle_notes_go_to_stderr_and_nothing_else_changes(tmp_path, capsys):
+    data = _fixture(tmp_path)
+    dup = tmp_path / "dup"
+    dup.mkdir()
+    for name in ("labels.tsv", "attrs.csv"):
+        (dup / name).write_bytes((data / name).read_bytes())
+    edges = (data / "edges.tsv").read_text()
+    (dup / "edges.tsv").write_text(edges + edges.splitlines()[0] + "\n")
+    outs = []
+    for src in (data, dup):
+        capsys.readouterr()
+        assert main(_detect_args(src, src / "o")) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0].err == ""
+    assert outs[1].err == "note: dropped 1 duplicate edge(s)\n"
+    assert outs[0].out.replace(str(data / "o"), "") == outs[1].out.replace(str(dup / "o"), "")
+    for name in ("assignment.tsv", "metrics.json", "config.json"):
+        assert (data / "o" / name).read_bytes() == (dup / "o" / name).read_bytes()
+
+
+def test_encoder_too_large_for_memory_exits_2_before_any_stage(tmp_path, capsys,
+                                                              monkeypatch):
+    # a triplet index of 10**12 loads as a 2-value CSR matrix, but its encoder
+    # would need petabytes
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a pipeline stage ran")
+
+    (tmp_path / "e").write_text("a b\n")
+    (tmp_path / "l").write_text("a x\nb y\n")
+    (tmp_path / "x").write_text(f"a {10 ** 12} 1\nb 0 1\n")
+    monkeypatch.setattr(pipeline, "best_of_runs", no_stage)
+    code = main(["detect", "--edges", str(tmp_path / "e"), "--labels", str(tmp_path / "l"),
+                 "--attrs", str(tmp_path / "x"), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"T={10 ** 12 + 1}" in err and "hidden_dims=(256, 128, 64)" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("cmd, flags, needle", [
     ("detect", ["--birch-threshold", "-1"], "threshold_radius must be > 0, got -1.0"),
     ("detect", ["--branching-factor", "1"], "branching_factor must be >= 2, got 1"),

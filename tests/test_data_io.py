@@ -45,7 +45,7 @@ def test_load_triangle(tmp_path):
     assert bundle.graph.m == 3
     assert bundle.t == 2
     assert bundle.node_ids == ["a", "b", "c"]
-    assert np.array_equal(bundle.attributes, [[1, 0], [0, 1], [1, 1]])
+    assert np.array_equal(bundle.attributes.toarray(), [[1, 0], [0, 1], [1, 1]])
     assert bundle.labels == Partition([0, 0, 1])
 
 
@@ -298,13 +298,72 @@ def test_triplet_load_holds_no_dense_array(tmp_path):
     assert bundle.attributes.nnz == rows.size
 
 
+def _assert_canonical_csr(x):
+    assert sp.isspmatrix_csr(x) and x.dtype == np.float64
+    assert x.has_canonical_format and np.all(x.data != 0)
+
+
+def test_csv_and_triplet_attributes_load_to_one_canonical_csr(tmp_path):
+    # about 1% nonzero; the last column is all zero, so only the explicit
+    # zero triplet below gives the triplet file its width
+    rng = np.random.default_rng(29)
+    n, t = 200, 500
+    dense = np.where(rng.random((n, t)) < 0.01, rng.integers(1, 4, (n, t)), 0.0)
+    dense[np.arange(n), rng.integers(0, t - 1, n)] = 2.5  # no node without a value
+    dense[:, t - 1] = 0.0
+    rows, cols = np.nonzero(dense)
+    e = _write(tmp_path, "e", "v0 v1\n")
+    l = _write(tmp_path, "l", "".join(f"v{i} {i % 3}\n" for i in range(n)))
+    csv = _write(tmp_path, "x.csv", "".join(
+        f"v{i}," + ",".join(map(repr, dense[i].tolist())) + "\n" for i in range(n)))
+    triplets = [f"v{i} {j} {float(dense[i, j])!r}" for i, j in zip(rows, cols)]
+    triplets = [f"v{rows[0]} {cols[0]} 9.0",  # repeated below; the last value wins
+                *rng.permutation(triplets), f"v{n // 2} {t - 1} 0"]
+    tri = _write(tmp_path, "x.txt", "\n".join(triplets) + "\n")
+    a, b = (load_dataset(e, x, l).attributes for x in (csv, tri))
+    for x in (a, b):
+        _assert_canonical_csr(x)
+        assert x.shape == (n, t)
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a.toarray(), dense)
+    _assert_canonical_csr(load_dataset(e, None, l).attributes)
+    _assert_canonical_csr(generate_synthetic(SyntheticSpec(n=30, k=3, seed=1)).attributes)
+
+
+def test_bundle_canonicalizes_a_copy_of_the_callers_matrix(tmp_path):
+    g = Graph(3, [(0, 1), (1, 2)])
+    labels, ids = Partition([0, 0, 1]), ["a", "b", "c"]
+    # row 0 has unsorted indices and a duplicate, row 1 an explicit zero
+    data = np.array([2.0, 1.0, 3.0, 0.0, 4.0])
+    indices = np.array([2, 0, 2, 1, 0], dtype=np.int32)
+    indptr = np.array([0, 3, 4, 5], dtype=np.int32)
+    given = sp.csr_matrix((data, indices, indptr), shape=(3, 3))
+    assert not given.has_canonical_format
+    saved = [arr.copy() for arr in (given.data, given.indices, given.indptr)]
+    x = DatasetBundle(g, given, labels, ids).attributes
+    _assert_canonical_csr(x)
+    assert np.array_equal(x.toarray(), [[1, 0, 5], [0, 0, 0], [4, 0, 0]])
+    assert all(np.array_equal(a, b) for a, b in
+               zip((given.data, given.indices, given.indptr), saved))
+    dense = np.array([[1, 0, 5], [0, 0, 0], [4, 0, 0]], dtype=np.int64)
+    y = DatasetBundle(g, dense, labels, ids).attributes
+    _assert_canonical_csr(y)
+    assert np.array_equal(y.indptr, x.indptr) and np.array_equal(y.indices, x.indices)
+    assert np.array_equal(y.data, x.data)
+    # the all-zero row is written as zeros of the full width
+    paths = write_bundle(DatasetBundle(g, given, labels, ids), tmp_path)
+    assert paths["attrs"].read_text() == "a,1.0,0.0,5.0\nb,0.0,0.0,0.0\nc,4.0,0.0,0.0\n"
+
+
 def test_sparse_attributes_validate_and_write_dense_rows(tmp_path):
     e = _write(tmp_path, "e", "a b\nb c\n")
     l = _write(tmp_path, "l", "a u\nb v\nc u\n")
     bundle = load_dataset(e, None, l)
     paths = write_bundle(bundle, tmp_path / "out")
     again = load_dataset(paths["edges"], paths["attrs"], paths["labels"])
-    assert np.array_equal(again.attributes, bundle.attributes.toarray())
+    assert np.array_equal(again.attributes.toarray(), bundle.attributes.toarray())
 
     bad = sp.csr_matrix(np.array([[0.0, np.nan], [1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(DataError, match="non-finite"):
@@ -340,13 +399,13 @@ def test_synthetic_zero_signal_is_label_independent():
     worst = 0.0
     for b in range(4):
         members = np.flatnonzero(bundle.planted.assignment == b)
-        means = bundle.attributes[members].mean(axis=0)
+        means = bundle.attributes[members].toarray().mean(axis=0)
         worst = max(worst, float(np.abs(means - 0.5).max()))
     assert worst < 0.1  # ~4.5 sigma for 500 Bernoulli(0.5) draws
 
     strong = generate_synthetic(
         SyntheticSpec(n=2000, k=4, p_in=0.01, p_out=0.005, t=4, s=0.8, seed=5))
-    means0 = strong.attributes[strong.planted.assignment == 0].mean(axis=0)
+    means0 = strong.attributes[strong.planted.assignment == 0].toarray().mean(axis=0)
     assert means0[0] > 0.8 and means0[1:].max() < 0.2
 
 
@@ -355,11 +414,11 @@ def test_synthetic_determinism():
     b1, b2 = generate_synthetic(spec), generate_synthetic(spec)
     assert np.array_equal(b1.graph.edge_u, b2.graph.edge_u)
     assert np.array_equal(b1.graph.edge_v, b2.graph.edge_v)
-    assert np.array_equal(b1.attributes, b2.attributes)
+    assert np.array_equal(b1.attributes.toarray(), b2.attributes.toarray())
     assert b1.labels == b2.labels
     b3 = generate_synthetic(SyntheticSpec(n=60, k=3, p_in=0.4, p_out=0.02,
                                           t=6, s=0.7, seed=10))
-    assert not np.array_equal(b1.attributes, b3.attributes)
+    assert not np.array_equal(b1.attributes.toarray(), b3.attributes.toarray())
 
 
 def test_synthetic_blocks_internally_connected():
@@ -424,7 +483,7 @@ def test_synthetic_matches_the_dense_reference_draw(spec):
     assert np.array_equal(bundle.graph.edge_u, reference.edge_u)
     assert np.array_equal(bundle.graph.edge_v, reference.edge_v)
     assert bundle.graph.dropped_duplicates == reference.dropped_duplicates
-    assert np.array_equal(bundle.attributes, rng.random((n, spec.t)) < p_attr)
+    assert np.array_equal(bundle.attributes.toarray(), rng.random((n, spec.t)) < p_attr)
 
 
 def test_synthetic_memory_is_linear_in_n():
@@ -464,7 +523,7 @@ def test_bundle_write_load_roundtrip(tmp_path):
     assert again.graph.m == bundle.graph.m
     assert np.array_equal(again.graph.edge_u, bundle.graph.edge_u)
     assert np.array_equal(again.graph.edge_v, bundle.graph.edge_v)
-    assert np.array_equal(again.attributes, bundle.attributes)
+    assert np.array_equal(again.attributes.toarray(), bundle.attributes.toarray())
     assert again.labels == bundle.labels
     planted = load_partition(paths["planted"], again.node_ids)
     assert planted == bundle.planted
@@ -535,4 +594,4 @@ def test_cora_style_converter(tmp_path):
     assert bundle.graph.m == 2  # the p9 line references an unknown paper
     assert bundle.t == 3
     assert bundle.labels == Partition([0, 1, 0])
-    assert np.array_equal(bundle.attributes, [[1, 0, 1], [0, 1, 0], [1, 1, 0]])
+    assert np.array_equal(bundle.attributes.toarray(), [[1, 0, 1], [0, 1, 0], [1, 1, 0]])

@@ -271,7 +271,7 @@ def test_propagate_keeps_dense_attributes_dense():
     ax0 = model.propagate(bundle.attributes)
     assert not _factored(ax0)
     assert np.array_equal(ax0 @ model.weights[0],
-                          (model.a_norm @ bundle.attributes) @ model.weights[0])
+                          (model.a_norm @ bundle.attributes.toarray()) @ model.weights[0])
 
     rng = np.random.default_rng(71)
     g = random_connected_graph(rng, 50, 0.1)

@@ -11,8 +11,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
 import comdet
+from comdet import pipeline
 from comdet.birch import BirchConfig
 from comdet.data_io import (
+    DataError,
     DatasetBundle,
     SyntheticSpec,
     adjacency_as_features,
@@ -21,7 +23,7 @@ from comdet.data_io import (
     write_bundle,
     write_results,
 )
-from comdet.gcn import GcnModel
+from comdet.gcn import GcnModel, training_bytes
 from comdet.graph import Graph, Partition
 from comdet.metrics import modularity, nmi
 from comdet.pipeline import (
@@ -314,6 +316,27 @@ def test_triplet_attributes_are_canonical_csr_and_run_like_their_dense_array(tmp
     runs = [run(b, _pinned_cfg(RunMode.FULL)) for b in (bundle, dense)]
     assert runs[0].metrics == runs[1].metrics
     assert runs[0].partition == runs[1].partition
+
+
+def test_run_refuses_an_encoder_larger_than_memory_before_any_stage(monkeypatch):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a pipeline stage ran")
+
+    bundle = generate_synthetic(SyntheticSpec(n=40, k=2, p_in=0.5, p_out=0.05, t=4, seed=16))
+    cfg = _small_cfg(hidden_dims=(8, 6, 4))
+    need = training_bytes(40, 4, (8, 6, 4))
+    # weights, gradients and two Adam moments, and the forward cache
+    assert need == 8 * (4 * (4 * 8 + 8 * 6 + 6 * 4) + 40 * (2 * 8 + 2 * 6 + 4 * 4 + 3))
+    monkeypatch.setattr(pipeline, "best_of_runs", no_stage)
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
+    with pytest.raises(DataError) as info:
+        run(bundle, cfg)
+    assert str(info.value) == (
+        f"the encoder for T=4 attribute columns and hidden_dims=(8, 6, 4) needs {need} "
+        f"bytes to train, more than the {need - 1} bytes of physical memory")
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: need)
+    with pytest.raises(RuntimeError, match="stage 'leiden' failed: a pipeline stage ran"):
+        run(bundle, cfg)
 
 
 def test_run_propagates_the_attributes_once(monkeypatch):
