@@ -31,7 +31,7 @@ from .gcn import (
     save_checkpoint,
     train,
 )
-from .loss import PairwiseTarget, pairwise_loss, total_loss
+from .loss import PairwiseTarget, pairwise_loss
 from .birch import BirchConfig, birch_cluster
 from .data_io import (
     DataError,
@@ -80,7 +80,6 @@ __all__ = [
     "train",
     "PairwiseTarget",
     "pairwise_loss",
-    "total_loss",
     "BirchConfig",
     "birch_cluster",
     "DataError",

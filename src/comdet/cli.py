@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .birch import BirchConfig
 from .data_io import (
+    ADJACENCY_NOTE,
     DataError,
     SyntheticSpec,
     generate_synthetic,
@@ -156,7 +157,9 @@ def _load_bundle(args):
     attrs = _require_file(args.attrs, "--attrs") if args.attrs is not None else None
     bundle = load_dataset(edges, attrs, labels, name=getattr(args, "name", None))
     for note in bundle.notes:
-        print(f"note: {note}", file=sys.stderr)
+        # only detect and ablate read the attributes
+        if note != ADJACENCY_NOTE or args.cmd in ("detect", "ablate"):
+            print(f"note: {note}", file=sys.stderr)
     return bundle
 
 

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _MAX_LISTED = 5  # offenders shown in error messages before truncating
+ADJACENCY_NOTE = "no attribute file; using adjacency rows as features"
 
 
 class DataError(Exception):
@@ -180,7 +181,9 @@ def _load_attributes(path, index: dict[str, int], n: int) -> sp.csr_matrix:
             x[i] = values
         # past this check some known row carried a comma, so x has >= 1 column
         _check_known(path, "attribute ids", unknown)
-        x = sp.csr_matrix(x)
+        nz = np.flatnonzero(x != 0)  # row-major: rows in order, columns sorted in each
+        rows, cols = np.divmod(nz, x.shape[1])
+        x = sp.csr_matrix((x.ravel()[nz], cols, np.searchsorted(rows, np.arange(n + 1))), x.shape)
     else:
         rows, cols, vals = [], [], []
         for lineno, row in _fields(path, lines, "sparse attribute", "id index value"):
@@ -222,7 +225,7 @@ def load_dataset(edge_path, attr_path, label_path, name: str | None = None) -> D
     g, notes = _load_edges(edge_path, index, len(node_ids))
     if attr_path is None:
         x = adjacency_as_features(g)
-        notes.append("no attribute file; using adjacency rows as features")
+        notes.append(ADJACENCY_NOTE)
     else:
         x = _load_attributes(attr_path, index, len(node_ids))
     return DatasetBundle(g, x, Partition(codes), node_ids,

@@ -28,28 +28,28 @@ class PairwiseTarget:
         self.gram_norm_sq = float(np.sum(sizes ** 2))  # ||S S^T||_F^2
 
 
-def pairwise_loss(target: PairwiseTarget, x_e: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared gap between embedding similarities and co-membership.
+def pairwise_loss(terms: list[tuple[PairwiseTarget, float]], x_e: np.ndarray, *,
+                  shared: tuple[float, np.ndarray] | None = None) -> tuple[float, np.ndarray]:
+    """Sum of ``weight * term`` over ``(target, weight)`` pairs, with its gradient.
 
-    Returns ``(1/n^2) * ||H - X X^T||_F^2`` and its gradient
-    ``(4/n^2) * (X X^T - H) X``, both in factored form.
+    A term is ``(1/n^2) * ||H - X X^T||_F^2``, gradient ``(4/n^2) * (X X^T - H) X``,
+    in factored form. ``||X^T X||^2`` and ``X X^T X`` are computed once and go as
+    ``shared`` to the call that adds the other terms, so each term is one call
+    (bench/tracing.py counts them). One term of weight 1.0 comes back exactly.
     """
+    (target, weight), *rest = terms
     x = np.asarray(x_e, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != target.n:
         raise ValueError(f"embedding must have {target.n} rows, got {x.shape}")
+    if shared is None:
+        g = x.T @ x                  # d x d
+        shared = float(np.sum(g * g)), x @ g
+    g_norm_sq, xg = shared
     n = target.n
     m = target.onehot.T @ x          # k x d community row sums
-    g = x.T @ x                      # d x d
-    value = (target.gram_norm_sq
-             - 2.0 * float(np.sum(m * m))
-             + float(np.sum(g * g))) / (n * n)
-    grad = (4.0 / (n * n)) * (x @ g - target.onehot @ m)
+    value = weight * ((target.gram_norm_sq - 2.0 * float(np.sum(m * m)) + g_norm_sq) / (n * n))
+    grad = weight * ((4.0 / (n * n)) * (xg - target.onehot @ m))
+    if rest:
+        rest_value, rest_grad = pairwise_loss(rest, x, shared=shared)
+        value, grad = value + rest_value, grad + rest_grad
     return value, grad
-
-
-def total_loss(target_main: PairwiseTarget, target_refined: PairwiseTarget,
-               x_e: np.ndarray, mu: float = 0.5) -> tuple[float, np.ndarray]:
-    """Combined loss: main pairwise term plus ``mu`` times the refined term."""
-    lm, gm = pairwise_loss(target_main, x_e)
-    lr, gr = pairwise_loss(target_refined, x_e)
-    return lm + mu * lr, gm + mu * gr

@@ -11,6 +11,7 @@ or split disconnected output communities as a post-process.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -23,7 +24,7 @@ from .data_io import DataError, DatasetBundle
 from .gcn import GcnModel, train, training_bytes
 from .graph import Graph, Partition, split_into_components
 from .leiden import LeidenConfig, best_of_runs
-from .loss import PairwiseTarget, pairwise_loss, total_loss
+from .loss import PairwiseTarget, pairwise_loss
 from .metrics import conductance, connectivity_score, f1_score, modularity, nmi
 from .refine import RefineConfig, refine_labels
 
@@ -83,21 +84,21 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         self.mode = RunMode(self.mode)
-        if self.leiden_global_runs < 1:
-            raise ValueError(
-                f"leiden_global_runs must be >= 1, got {self.leiden_global_runs}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.parallel_runs < 1:
-            raise ValueError(f"parallel_runs must be >= 1, got {self.parallel_runs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        whole = lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
+        for name, low in (("leiden_global_runs", 1), ("epochs", 0), ("parallel_runs", 1),
+                          ("seed", 0)):
+            value = getattr(self, name)
+            if not whole(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.mu is not None and not (math.isfinite(self.mu) and self.mu >= 0):
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        if len(self.hidden_dims) != 3 or min(self.hidden_dims) < 1:
+        if (len(self.hidden_dims) != 3 or not all(map(whole, self.hidden_dims))
+                or min(self.hidden_dims) < 1):
             raise ValueError(
                 f"hidden_dims must be three positive sizes, got {self.hidden_dims}")
 
@@ -190,21 +191,15 @@ def run(bundle: DatasetBundle, cfg: RunConfig | None = None) -> RunResult:
             g, labels, cfg.refine, seed=_derived_seed(cfg.seed, 1)))
 
     # stage 3: train the encoder against the composite pairwise objective
-    target_l = PairwiseTarget(cs_l)
-    target_r = PairwiseTarget(cs_r)
-    if cfg.mode is RunMode.LM_ONLY:
-        provider = lambda xe: pairwise_loss(target_l, xe)
-    elif cfg.mode is RunMode.LR_ONLY:
-        provider = lambda xe: pairwise_loss(target_r, xe)
-    else:
-        provider = lambda xe: total_loss(target_l, target_r, xe, mu)
-
+    one_term = {RunMode.LM_ONLY: [(cs_l, 1.0)], RunMode.LR_ONLY: [(cs_r, 1.0)]}
+    terms = [(PairwiseTarget(p), w) for p, w in one_term.get(cfg.mode, [(cs_l, 1.0), (cs_r, mu)])]
     model = GcnModel(g, in_dim=bundle.t, hidden_dims=cfg.hidden_dims,
                      seed=_derived_seed(cfg.seed, 2))
 
     def fit():  # Â·X is built once, for training and for clustering
         ax0 = model.propagate(bundle.attributes)
-        return ax0, train(model, ax0, provider, cfg.epochs, cfg.learning_rate)[1]
+        return ax0, train(model, ax0, lambda xe: pairwise_loss(terms, xe),
+                          cfg.epochs, cfg.learning_rate)[1]
 
     ax0, trace = staged("train", fit)
 

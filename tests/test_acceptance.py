@@ -30,7 +30,7 @@ from comdet.data_io import (
 from comdet.gcn import GcnModel
 from comdet.graph import Graph, Partition, component_counts, split_into_components
 from comdet.leiden import best_of_runs, leiden
-from comdet.loss import PairwiseTarget, total_loss
+from comdet.loss import PairwiseTarget, pairwise_loss
 from comdet.metrics import connectivity_score, modularity, nmi
 from comdet.pipeline import RunConfig, RunMode, run
 from comdet.refine import refine_labels
@@ -120,12 +120,12 @@ def test_criterion_02_end_to_end_gradients(capsys):
         model = GcnModel(g, t, (5, 4, 3), seed=seed)
 
         xe, cache = model.forward(model.propagate(x))
-        _, d_xe = total_loss(target_m, target_r, xe, 0.5)
+        _, d_xe = pairwise_loss([(target_m, 1.0), (target_r, 0.5)], xe)
         grads = model.backward(cache, d_xe)
 
         def value() -> float:
             out, _ = model.forward(model.propagate(x))
-            return total_loss(target_m, target_r, out, 0.5)[0]
+            return pairwise_loss([(target_m, 1.0), (target_r, 0.5)], out)[0]
 
         for li, w in enumerate(model.weights):
             for idx in np.ndindex(w.shape):

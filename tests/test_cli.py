@@ -128,6 +128,20 @@ def test_bundle_notes_go_to_stderr_and_nothing_else_changes(tmp_path, capsys):
         assert (data / "o" / name).read_bytes() == (dup / "o" / name).read_bytes()
 
 
+def test_adjacency_note_only_from_commands_that_read_attributes(tmp_path, capsys):
+    data = _fixture(tmp_path, n=40)
+    capsys.readouterr()
+    assert main(["leiden", "--edges", str(data / "edges.tsv"),
+                 "--labels", str(data / "labels.tsv"), "--runs", "2"]) == 0
+    assert capsys.readouterr().err == ""
+    args = _detect_args(data, tmp_path / "o")
+    at = args.index("--attrs")
+    del args[at:at + 2]
+    assert main(args) == 0
+    assert capsys.readouterr().err == (
+        "note: no attribute file; using adjacency rows as features\n")
+
+
 def test_encoder_too_large_for_memory_exits_2_before_any_stage(tmp_path, capsys,
                                                               monkeypatch):
     # a triplet index of 10**12 loads as a 2-value CSR matrix, but its encoder

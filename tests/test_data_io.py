@@ -305,12 +305,15 @@ def _assert_canonical_csr(x):
 
 def test_csv_and_triplet_attributes_load_to_one_canonical_csr(tmp_path):
     # about 1% nonzero; the last column is all zero, so only the explicit
-    # zero triplet below gives the triplet file its width
+    # zero triplet below gives the triplet file its width. One CSV cell reads
+    # -0.0 and one row is all zero: neither stores a value
     rng = np.random.default_rng(29)
     n, t = 200, 500
     dense = np.where(rng.random((n, t)) < 0.01, rng.integers(1, 4, (n, t)), 0.0)
     dense[np.arange(n), rng.integers(0, t - 1, n)] = 2.5  # no node without a value
     dense[:, t - 1] = 0.0
+    dense[3, t - 1] = -0.0
+    dense[7] = 0.0
     rows, cols = np.nonzero(dense)
     e = _write(tmp_path, "e", "v0 v1\n")
     l = _write(tmp_path, "l", "".join(f"v{i} {i % 3}\n" for i in range(n)))
@@ -318,7 +321,7 @@ def test_csv_and_triplet_attributes_load_to_one_canonical_csr(tmp_path):
         f"v{i}," + ",".join(map(repr, dense[i].tolist())) + "\n" for i in range(n)))
     triplets = [f"v{i} {j} {float(dense[i, j])!r}" for i, j in zip(rows, cols)]
     triplets = [f"v{rows[0]} {cols[0]} 9.0",  # repeated below; the last value wins
-                *rng.permutation(triplets), f"v{n // 2} {t - 1} 0"]
+                *rng.permutation(triplets), f"v{n // 2} {t - 1} 0", "v7 0 0"]
     tri = _write(tmp_path, "x.txt", "\n".join(triplets) + "\n")
     a, b = (load_dataset(e, x, l).attributes for x in (csv, tri))
     for x in (a, b):
@@ -328,6 +331,7 @@ def test_csv_and_triplet_attributes_load_to_one_canonical_csr(tmp_path):
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.data, b.data)
     assert np.array_equal(a.toarray(), dense)
+    assert a.indptr[7] == a.indptr[8]
     _assert_canonical_csr(load_dataset(e, None, l).attributes)
     _assert_canonical_csr(generate_synthetic(SyntheticSpec(n=30, k=3, seed=1)).attributes)
 

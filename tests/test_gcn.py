@@ -27,7 +27,7 @@ from comdet.gcn import (
     train,
 )
 from comdet.graph import Graph, Partition
-from comdet.loss import PairwiseTarget, total_loss
+from comdet.loss import PairwiseTarget, pairwise_loss
 
 from conftest import random_connected_graph, random_graph, random_partition
 
@@ -185,10 +185,10 @@ def test_gradients_match_finite_differences():
             saved, model.weights = model.weights, weights
             xe, _ = model.forward(model.propagate(x))
             model.weights = saved
-            return total_loss(tm, tr, xe, mu)[0]
+            return pairwise_loss([(tm, 1.0), (tr, mu)], xe)[0]
 
         xe, cache = model.forward(model.propagate(x))
-        _, d_xe = total_loss(tm, tr, xe, mu)
+        _, d_xe = pairwise_loss([(tm, 1.0), (tr, mu)], xe)
         grads = model.backward(cache, d_xe)
         for li, w in enumerate(model.weights):
             for idx in [(0, 0), (w.shape[0] - 1, w.shape[1] - 1),
@@ -237,7 +237,7 @@ def test_factored_first_layer_matches_dense_reference():
         xe_ref, cache_ref = model.forward(aslinearoperator(model.a_norm @ x))
         xe, cache = model.forward(ax0)
         assert _rel(xe, xe_ref) <= 1e-12
-        _, d_xe = total_loss(tm, tr, xe_ref, mu)
+        _, d_xe = pairwise_loss([(tm, 1.0), (tr, mu)], xe_ref)
         grads_ref = model.backward(cache_ref, d_xe)
         grads = model.backward(cache, d_xe)
         assert all(_rel(a, b) <= 1e-12 for a, b in zip(grads, grads_ref))
@@ -246,7 +246,7 @@ def test_factored_first_layer_matches_dense_reference():
             saved, model.weights = model.weights, weights
             out, _ = model.forward(ax0)
             model.weights = saved
-            return total_loss(tm, tr, out, mu)[0]
+            return pairwise_loss([(tm, 1.0), (tr, mu)], out)[0]
 
         # central differences on the factored form, including a first-layer
         # weight whose attribute column is nonzero somewhere
@@ -287,7 +287,7 @@ def test_train_reduces_loss():
     target = PairwiseTarget(random_partition(rng, 20, 4))
 
     def provider(xe):
-        value, grad = total_loss(target, target, xe, 0.0)
+        value, grad = pairwise_loss([(target, 1.0), (target, 0.0)], xe)
         return value, grad
 
     model = GcnModel(g, in_dim=6, hidden_dims=(8, 6, 4), seed=5)
@@ -305,7 +305,7 @@ def test_train_zero_epochs_and_zero_lr_keep_weights():
     target = PairwiseTarget(Partition([0, 0, 1]))
 
     def provider(xe):
-        value, grad = total_loss(target, target, xe, 1.0)
+        value, grad = pairwise_loss([(target, 1.0), (target, 1.0)], xe)
         return value, grad
 
     _, trace = train(model, model.propagate(x), provider, epochs=0)
@@ -350,7 +350,7 @@ def test_train_is_deterministic():
     target = PairwiseTarget(random_partition(rng, 12, 3))
 
     def provider(xe):
-        return total_loss(target, target, xe, 0.5)
+        return pairwise_loss([(target, 1.0), (target, 0.5)], xe)
 
     runs = []
     for _ in range(2):

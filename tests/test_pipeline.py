@@ -224,9 +224,15 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"mu must be finite and >= 0, got {bad}"):
             RunConfig(mu=bad)
     assert RunConfig(mu=0.0).mu == 0.0
-    for bad in ((1, 2), (16, 0, 8), (16, 8, 6, 4)):
+    for bad in ((1, 2), (16, 0, 8), (16, 8, 6, 4), (8.5, 4, 2), (16, True, 8), (16.0, 8, 6)):
         with pytest.raises(ValueError, match="hidden_dims must be three positive sizes"):
             RunConfig(hidden_dims=bad)
+    for name in ("epochs", "leiden_global_runs", "parallel_runs", "seed"):
+        for bad in (True, 2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+                RunConfig(**{name: bad})
+        assert getattr(RunConfig(**{name: np.int64(3)}), name) == 3
+    assert RunConfig(hidden_dims=tuple(np.arange(3, 6))).hidden_dims == (3, 4, 5)
 
 
 def test_public_surface_is_pinned():
@@ -240,7 +246,7 @@ def test_public_surface_is_pinned():
         "induced_subgraph", "leiden", "load_checkpoint", "load_dataset",
         "load_partition", "merge_partitions", "metric_report", "modularity", "nmi",
         "normalized_adjacency", "pairwise_loss", "refine_labels", "resolve_mu", "run",
-        "save_checkpoint", "split_into_components", "total_loss", "train",
+        "save_checkpoint", "split_into_components", "train",
         "write_bundle", "write_results",
     ]
     assert all(hasattr(comdet, name) for name in comdet.__all__)
