@@ -22,7 +22,7 @@ from .metrics import (
     nmi,
 )
 from .leiden import LeidenConfig, best_of_runs, leiden
-from .refine import RefineConfig, ThresholdRule, refine_labels
+from .refine import RefineConfig, refine_labels
 from .gcn import (
     GcnModel,
     TrainingDiverged,
@@ -70,7 +70,6 @@ __all__ = [
     "best_of_runs",
     "leiden",
     "RefineConfig",
-    "ThresholdRule",
     "refine_labels",
     "GcnModel",
     "TrainingDiverged",

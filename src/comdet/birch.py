@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Partition
+from .graph import Partition, _check_integer
 
 __all__ = ["BirchConfig", "birch_cluster"]
 
@@ -27,10 +27,11 @@ class BirchConfig:
     branching_factor: int = 50
 
     def __post_init__(self) -> None:
+        if isinstance(self.threshold_radius, bool):
+            raise ValueError(f"threshold_radius must be a number, got {self.threshold_radius}")
         if not self.threshold_radius > 0:
             raise ValueError(f"threshold_radius must be > 0, got {self.threshold_radius}")
-        if self.branching_factor < 2:
-            raise ValueError(f"branching_factor must be >= 2, got {self.branching_factor}")
+        _check_integer("branching_factor", self.branching_factor, 2)
 
 
 class _Node:

@@ -34,7 +34,7 @@ from .gcn import save_checkpoint
 from .leiden import best_of_runs
 from .metrics import connectivity_score, modularity
 from .pipeline import RunConfig, RunMode, metric_report, resolve_mu, run
-from .refine import RefineConfig, ThresholdRule, refine_labels
+from .refine import RefineConfig, refine_labels
 
 __all__ = ["entry", "main"]
 
@@ -97,8 +97,6 @@ _SETTINGS = {
     "hidden_dims": (RunConfig, "hidden_dims", _dims, "encoder layer sizes"),
     "leiden_runs": (RunConfig, "leiden_global_runs", _int, "global Leiden repeats"),
     "refine_runs": (RefineConfig, "leiden_runs", _int, "per-label Leiden repeats"),
-    "threshold_rule": (RefineConfig, "threshold_rule", ThresholdRule,
-                       "refinement merge-down threshold"),
     "birch_threshold": (BirchConfig, "threshold_radius", _float, "CF absorb radius"),
     "branching_factor": (BirchConfig, "branching_factor", _int, "CF-tree fanout"),
     "seed": (RunConfig, "seed", _int, "master seed"),
@@ -225,8 +223,7 @@ def _cmd_refine(args) -> int:
     }
     if args.out is not None:
         write_results(Path(args.out), refined, record,
-                      {"runs": cfg.refine.leiden_runs, "seed": cfg.seed,
-                       "threshold_rule": cfg.refine.threshold_rule.value},
+                      {"runs": cfg.refine.leiden_runs, "seed": cfg.seed},
                       node_ids=bundle.node_ids)
     if args.json:
         print(json.dumps(record, sort_keys=True, indent=2))
@@ -333,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("refine", help="split labels into connected sub-communities")
     _add_bundle_flags(p)
-    _add_settings(p, ["refine_runs", "threshold_rule", "seed"], runs="refine_runs")
+    _add_settings(p, ["refine_runs", "seed"], runs="refine_runs")
     p.add_argument("--out", help="write the refined assignment here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_refine)

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    """Reject a bool, a non-integer (a whole float too) or a value below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 class Graph:

@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .graph import Graph, Partition, canonical_labels, split_into_components
+from .graph import Graph, Partition, _check_integer, canonical_labels, split_into_components
 
 THETA = 0.01  # refinement draws a merge with probability ∝ exp(gain / THETA)
 
@@ -33,8 +33,7 @@ class LeidenConfig:
     max_passes: int = 20
 
     def __post_init__(self) -> None:
-        if self.max_passes < 1:
-            raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
+        _check_integer("max_passes", self.max_passes, 1)
 
 
 class _LevelGraph:

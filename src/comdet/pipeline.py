@@ -22,7 +22,7 @@ import numpy as np
 from .birch import BirchConfig, birch_cluster
 from .data_io import DataError, DatasetBundle
 from .gcn import GcnModel, train, training_bytes
-from .graph import Graph, Partition, split_into_components
+from .graph import Graph, Partition, _check_integer, split_into_components
 from .leiden import LeidenConfig, best_of_runs
 from .loss import PairwiseTarget, pairwise_loss
 from .metrics import conductance, connectivity_score, f1_score, modularity, nmi
@@ -84,19 +84,18 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         self.mode = RunMode(self.mode)
-        whole = lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
         for name, low in (("leiden_global_runs", 1), ("epochs", 0), ("parallel_runs", 1),
                           ("seed", 0)):
-            value = getattr(self, name)
-            if not whole(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+            _check_integer(name, getattr(self, name), low)
+        for name in ("learning_rate", "mu"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.mu is not None and not (math.isfinite(self.mu) and self.mu >= 0):
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        whole = lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
         if (len(self.hidden_dims) != 3 or not all(map(whole, self.hidden_dims))
                 or min(self.hidden_dims) < 1):
             raise ValueError(

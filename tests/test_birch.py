@@ -144,6 +144,13 @@ def test_config_validation():
         BirchConfig(threshold_radius=0.0)
     with pytest.raises(ValueError):
         BirchConfig(branching_factor=1)
+    for bad in (True, 2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match=f"branching_factor must be an integer, got {bad!r}"):
+            BirchConfig(branching_factor=bad)
+    assert BirchConfig(branching_factor=np.int64(3)).branching_factor == 3
+    for bad in (True, False):
+        with pytest.raises(ValueError, match=f"threshold_radius must be a number, got {bad}"):
+            BirchConfig(threshold_radius=bad)
     with pytest.raises(ValueError):
         birch_cluster(np.zeros((0, 3)))
     with pytest.raises(ValueError):

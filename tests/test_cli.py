@@ -387,8 +387,8 @@ def test_bare_leiden_and_refine_resolve_to_the_dataclass_defaults(cmd):
 _OTHER_VALUES = {
     "mu": ("0.25", 0.25), "epochs": ("7", 7), "lr": ("0.01", 0.01),
     "hidden_dims": ("8,6,4", [8, 6, 4]), "leiden_runs": ("2", 2),
-    "refine_runs": ("3", 3), "threshold_rule": ("all-components", "all-components"),
-    "birch_threshold": ("0.25", 0.25), "branching_factor": ("7", 7),
+    "refine_runs": ("3", 3), "birch_threshold": ("0.25", 0.25),
+    "branching_factor": ("7", 7),
     "seed": ("5", 5), "mode": ("lm-only", "lm-only"), "parallel_runs": ("2", 2),
 }
 
@@ -418,7 +418,7 @@ def _help_entries(capsys, monkeypatch, cmd) -> dict:
     ("detect", {k.replace("_", "-"): k for k in cli._SETTINGS}),
     ("ablate", {k.replace("_", "-"): k for k in cli._SETTINGS}),
     ("leiden", {"runs": "leiden_runs", "seed": "seed", "parallel-runs": "parallel_runs"}),
-    ("refine", {"runs": "refine_runs", "threshold-rule": "threshold_rule", "seed": "seed"}),
+    ("refine", {"runs": "refine_runs", "seed": "seed"}),
 ])
 def test_setting_help_shows_the_dataclass_default(capsys, monkeypatch, cmd, flags):
     entries = _help_entries(capsys, monkeypatch, cmd)

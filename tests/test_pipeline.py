@@ -153,7 +153,7 @@ def test_result_record_shape():
     snap = cfg.snapshot(bundle.name)
     json.dumps(snap)  # must be serializable as-is
     assert snap["mu"] == 0.5 and snap["mode"] == "full"
-    assert set(snap["refine"]) == {"leiden_runs", "threshold_rule", "leiden"}
+    assert set(snap["refine"]) == {"leiden_runs", "leiden"}
 
 
 def test_metric_report_examples():
@@ -233,6 +233,18 @@ def test_config_validation():
                 RunConfig(**{name: bad})
         assert getattr(RunConfig(**{name: np.int64(3)}), name) == 3
     assert RunConfig(hidden_dims=tuple(np.arange(3, 6))).hidden_dims == (3, 4, 5)
+    for name in ("learning_rate", "mu"):
+        for bad in (True, False):
+            with pytest.raises(ValueError, match=f"{name} must be a number, got {bad}"):
+                RunConfig(**{name: bad})
+    # the nested stage configs check their integer settings the same way
+    for cls, name in ((comdet.LeidenConfig, "max_passes"), (comdet.RefineConfig, "leiden_runs")):
+        for bad in (True, 2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+                cls(**{name: bad})
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+            cls(**{name: 0})
+        assert getattr(cls(**{name: np.int64(3)}), name) == 3
 
 
 def test_public_surface_is_pinned():
@@ -240,7 +252,7 @@ def test_public_surface_is_pinned():
     assert sorted(comdet.__all__) == [
         "BirchConfig", "DataError", "DatasetBundle", "GcnModel", "Graph",
         "LeidenConfig", "PairwiseTarget", "Partition", "RefineConfig", "RunConfig",
-        "RunMode", "RunResult", "SyntheticSpec", "ThresholdRule", "TrainingDiverged",
+        "RunMode", "RunResult", "SyntheticSpec", "TrainingDiverged",
         "__version__", "adjacency_as_features", "best_of_runs", "birch_cluster",
         "conductance", "connectivity_score", "f1_score", "generate_synthetic",
         "induced_subgraph", "leiden", "load_checkpoint", "load_dataset",

@@ -17,7 +17,7 @@ from comdet.graph import (
 )
 from comdet.leiden import best_of_runs
 from comdet.metrics import modularity
-from comdet.refine import RefineConfig, ThresholdRule, refine_labels
+from comdet.refine import RefineConfig, refine_labels
 
 from conftest import merge_step, pair_set, random_graph
 
@@ -91,17 +91,15 @@ def test_modularity_never_drops():
 
 
 def test_outcome_is_one_community_per_label_component():
-    # the no-zero-edge-merge rule makes merging stop exactly at the
-    # component split of each label, for either threshold rule
+    # joining every edge-linked pair of connected sub-communities gives back
+    # the component split of each label, ids included
     rng = np.random.default_rng(19)
-    for rule in (ThresholdRule.HALF_COMPONENTS, ThresholdRule.ALL_COMPONENTS):
-        for trial in range(6):
-            n = int(rng.integers(12, 60))
-            g = random_graph(rng, n, 0.08)
-            labels = Partition(canonical_labels(rng.integers(0, 3, size=n)))
-            refined = refine_labels(
-                g, labels, RefineConfig(threshold_rule=rule), seed=trial)
-            assert refined.equivalent_to(split_into_components(g, labels))
+    for trial in range(12):
+        n = int(rng.integers(12, 60))
+        g = random_graph(rng, n, 0.08)
+        labels = Partition(canonical_labels(rng.integers(0, 3, size=n)))
+        refined = refine_labels(g, labels, seed=trial)
+        assert refined == split_into_components(g, labels)
 
 
 def test_deterministic_given_seed():
@@ -119,8 +117,9 @@ def test_size_mismatch_rejected():
 
 
 def test_incremental_merge_matches_naive_full_recompute():
-    """The integer delta-Q loop must pick the same merges as recomputing
-    global modularity from scratch after every candidate merge."""
+    """Joining edge-linked sub-communities must end where a naive greedy merge
+    ends, one that recomputes global modularity from scratch after every
+    candidate merge of two edge-sharing sub-communities."""
     rng = np.random.default_rng(31)
     for trial in range(5):
         n = int(rng.integers(20, 80))

@@ -15,9 +15,15 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from comdet.graph import Graph, Partition, canonical_labels, component_counts
+from comdet.graph import (
+    Graph,
+    Partition,
+    canonical_labels,
+    component_counts,
+    split_into_components,
+)
 from comdet.metrics import modularity
-from comdet.refine import RefineConfig, ThresholdRule, refine_labels
+from comdet.refine import RefineConfig, refine_labels
 
 
 @st.composite
@@ -30,11 +36,11 @@ def labelled_graphs(draw) -> tuple[Graph, Partition]:
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(labelled_graphs(), st.integers(0, 2**32 - 1), st.sampled_from(ThresholdRule))
-def test_refinement_invariants_hold(graph_and_labels, seed, rule):
+@given(labelled_graphs(), st.integers(0, 2**32 - 1))
+def test_refinement_invariants_hold(graph_and_labels, seed):
     g, labels = graph_and_labels
-    refined = refine_labels(g, labels,
-                            RefineConfig(leiden_runs=2, threshold_rule=rule), seed=seed)
+    refined = refine_labels(g, labels, RefineConfig(leiden_runs=2), seed=seed)
+    assert refined == split_into_components(g, labels)
     assert refined.n == g.n
     # refines the labels: each refined community lies inside a single label
     pairs = np.unique(refined.assignment * labels.k + labels.assignment)
