@@ -162,11 +162,11 @@ def _load_bundle(args):
 
 
 def _cmd_detect(args) -> int:
-    bundle = _load_bundle(args)
     cfg = _run_config(args)
     if args.cmd == "ablate" and cfg.mode is RunMode.FULL:
         raise DataError("--mode: ablate needs an ablation mode "
                         "(lm-only, lr-only, unrefined-labels, modified-split)")
+    bundle = _load_bundle(args)
     result = run(bundle, cfg)
     out = Path(args.out)
     write_results(out, result.partition, result.metrics,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 _MAX_LISTED = 5  # offenders shown in error messages before truncating
+_BLOCK_CELLS = 2 ** 16  # dense CSV cells parsed per np.loadtxt call
 ADJACENCY_NOTE = "no attribute file; using adjacency rows as features"
 
 
@@ -102,6 +104,11 @@ def _fields(path, lines, kind: str, shape: str):
         yield lineno, row
 
 
+def _widths_are(lines, width: int) -> bool:
+    """Whether every line holds ``width`` whitespace-separated fields."""
+    return set(map(len, map(str.split, (text for _, text in lines)))) <= {width}
+
+
 def _listed(items) -> str:
     items = list(items)
     shown = ", ".join(repr(s) for s in items[:_MAX_LISTED])
@@ -115,32 +122,50 @@ def _check_known(path, kind: str, unknown: list[str]) -> None:
             f"{path}: {kind} missing from the label file: {_listed(dict.fromkeys(unknown))}")
 
 
+def _check_covered(path, index: dict[str, int], seen: np.ndarray) -> None:
+    if not seen.all():
+        ids = list(index)
+        raise DataError(f"{path}: nodes without any attribute row: "
+                        f"{_listed(ids[i] for i in np.flatnonzero(~seen))}")
+
+
 def _load_labels(path) -> tuple[list[str], dict[str, int], np.ndarray]:
     """Node universe and dense label codes, both in file order."""
-    index: dict[str, int] = {}
-    label_codes: dict[str, int] = {}
-    codes: list[int] = []
-    for lineno, (node, label) in _fields(path, _read_lines(path), "label", "id label"):
-        if node in index:
-            raise DataError(f"{path}:{lineno}: duplicate node id {node!r}")
-        index[node] = len(index)
-        codes.append(label_codes.setdefault(label, len(label_codes)))
+    lines = _read_lines(path)
+    fields = " ".join(text for _, text in lines).split()
+    nodes, labels = fields[0::2], fields[1::2]
+    index = dict(zip(nodes, range(len(nodes))))
+    if len(index) < len(nodes) or not _widths_are(lines, 2):
+        # the line loop names the first line of another width or repeated id
+        seen: set[str] = set()
+        for lineno, (node, _) in _fields(path, lines, "label", "id label"):
+            if node in seen:
+                raise DataError(f"{path}:{lineno}: duplicate node id {node!r}")
+            seen.add(node)
     if not index:
         raise DataError(f"{path}: no labeled nodes")
-    return list(index), index, np.array(codes, dtype=np.int64)
+    code = {label: c for c, label in enumerate(dict.fromkeys(labels))}
+    return nodes, index, np.fromiter(map(code.__getitem__, labels), np.int64, len(labels))
+
+
+def _edge_ends(path, index: dict[str, int]) -> np.ndarray:
+    """Node indices of both ends of every edge line, in file order."""
+    lines = _read_lines(path)
+    if not _widths_are(lines, 2):
+        for _ in _fields(path, lines, "edge", "u v"):
+            pass  # raises at the first line of another width
+    ends = chain.from_iterable(text.split() for _, text in lines)
+    try:
+        return np.fromiter(map(index.__getitem__, ends), np.int64, 2 * len(lines))
+    except KeyError:
+        _check_known(path, "edge endpoints", [node for _, text in lines
+                                              for node in text.split() if node not in index])
+        raise
 
 
 def _load_edges(path, index: dict[str, int], n: int) -> tuple[Graph, list[str]]:
-    pairs: list[tuple[int, int]] = []
-    unknown: list[str] = []
-    for _, row in _fields(path, _read_lines(path), "edge", "u v"):
-        miss = [tok for tok in row if tok not in index]
-        if miss:
-            unknown.extend(miss)
-            continue
-        pairs.append((index[row[0]], index[row[1]]))
-    _check_known(path, "edge endpoints", unknown)
-    g = Graph(n, pairs)
+    # the lines are freed before the graph is built
+    g = Graph(n, _edge_ends(path, index).reshape(-1, 2))
     notes = []
     if g.dropped_self_loops:
         notes.append(f"dropped {g.dropped_self_loops} self-loop(s)")
@@ -149,71 +174,130 @@ def _load_edges(path, index: dict[str, int], n: int) -> tuple[Graph, list[str]]:
     return g, notes
 
 
+def _csv_row(path, lineno: int, text: str, width: int | None) -> np.ndarray:
+    """One dense CSV row's values, each read as ``float()`` reads it."""
+    head, comma, rest = text.partition(",")
+    if not comma:
+        raise DataError(f"{path}:{lineno}: attribute row for id {head.strip()!r} has no values")
+    try:
+        values = np.array(rest.split(","), dtype=np.float64)
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: bad attribute value ({exc})") from exc
+    if width is not None and values.size != width:
+        raise DataError(f"{path}:{lineno}: row has {values.size} values, expected {width}")
+    return values
+
+
+def _csv_block(path, block, width: int | None) -> np.ndarray:
+    """Values of consecutive dense CSV rows, parsed in bulk when ``np.loadtxt``
+    reads them as ``_csv_row`` would."""
+    rests = [text.partition(",")[2] for _, text in block]
+    # loadtxt would skip the empty rest of a row "id," and strips \x1c-\x1f
+    # as spaces, which float() does not; splitlines() ends a line at \x1c-\x1e
+    if all(rests) and not any("\x1f" in rest for rest in rests):
+        try:
+            values = np.loadtxt(rests, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if width in (None, values.shape[1]):
+                return values
+    # refused: row by row, float() also reads 1_0 and non-ASCII digits, and a
+    # bad row is named
+    rows = []
+    for lineno, text in block:
+        rows.append(_csv_row(path, lineno, text, width))
+        width = rows[-1].size
+    return np.array(rows)
+
+
+def _raise_csv_id_error(path, lines, ids: list[str], index: dict[str, int], n: int) -> None:
+    """Raise the error of a dense CSV whose ids are not the label ids once
+    each, as the row loop meets it: the first bad row, else the unknown ids,
+    else the nodes without a row."""
+    seen = np.zeros(n, dtype=bool)
+    unknown: list[str] = []
+    width = None
+    for (lineno, text), node in zip(lines, ids):
+        i = index.get(node)
+        if i is None:
+            unknown.append(node)
+            continue
+        width = _csv_row(path, lineno, text, width).size
+        if seen[i]:
+            raise DataError(f"{path}:{lineno}: duplicate attribute row for id {node!r}")
+        seen[i] = True
+    _check_known(path, "attribute ids", unknown)
+    _check_covered(path, index, seen)
+
+
+def _load_dense_csv(path, lines, index: dict[str, int], n: int) -> sp.csr_matrix:
+    """Dense CSV rows as CSR, parsed in blocks of about ``_BLOCK_CELLS``
+    cells, each kept only as its nonzeros: no n×T array is built."""
+    ids = [text.partition(",")[0].strip() for _, text in lines]
+    try:
+        order = np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+    except KeyError:
+        order = None
+    if order is None or order.size != n or np.unique(order).size != n:
+        _raise_csv_id_error(path, lines, ids, index, n)
+    step = max(1, _BLOCK_CELLS // max(1, lines[0][1].count(",")))
+    width = None
+    counts, indices, data = [], [], []
+    for lo in range(0, n, step):
+        values = _csv_block(path, lines[lo:lo + step], width)
+        width = values.shape[1]
+        nz = np.flatnonzero(values)  # row-major: rows in order, columns sorted in each
+        rows, cols = np.divmod(nz, width)
+        counts.append(np.bincount(rows, minlength=values.shape[0]))
+        indices.append(cols)
+        data.append(values.ravel()[nz])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    x = sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, width))
+    # file row r holds node order[r]
+    return x[np.argsort(order)]
+
+
+def _load_triplets(path, lines, index: dict[str, int], n: int) -> sp.csr_matrix:
+    seen = np.zeros(n, dtype=bool)
+    rows, cols, vals = [], [], []
+    unknown: list[str] = []
+    for lineno, row in _fields(path, lines, "sparse attribute", "id index value"):
+        i = index.get(row[0])
+        if i is None:
+            unknown.append(row[0])
+            continue
+        try:
+            j, v = int(row[1]), float(row[2])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad triplet {row!r} ({exc})") from exc
+        if j < 0:
+            raise DataError(f"{path}:{lineno}: negative attribute index in {row!r}")
+        seen[i] = True
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+    _check_known(path, "attribute ids", unknown)
+    if not rows:
+        raise DataError(f"{path}: no attribute entries found")
+    rows, cols, vals = map(np.array, (rows, cols, vals))
+    order = np.lexsort((cols, rows))  # stable: a repeated pair keeps file order
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    # the last value written for an (id, index) wins; zeros are not stored
+    keep = np.append((rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]), True) & (vals != 0)
+    x = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, cols.max() + 1))
+    _check_covered(path, index, seen)
+    return x
+
+
 def _load_attributes(path, index: dict[str, int], n: int) -> sp.csr_matrix:
     """Dense CSV rows or sparse triplets, as CSR."""
     lines = _read_lines(path)
-    seen = np.zeros(n, dtype=bool)
-    unknown: list[str] = []
     # dense CSV rows carry commas; sparse triplet rows are whitespace-only
     if any("," in text for _, text in lines):
-        x = None
-        for lineno, text in lines:
-            head, comma, rest = text.partition(",")
-            node = head.strip()
-            i = index.get(node)
-            if i is None:
-                unknown.append(node)
-                continue
-            if not comma:
-                raise DataError(f"{path}:{lineno}: attribute row for id {node!r} has no values")
-            try:
-                values = np.array(rest.split(","), dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad attribute value ({exc})") from exc
-            if x is None:
-                x = np.zeros((n, values.size))
-            elif values.size != x.shape[1]:
-                raise DataError(
-                    f"{path}:{lineno}: row has {values.size} values, expected {x.shape[1]}")
-            if seen[i]:
-                raise DataError(f"{path}:{lineno}: duplicate attribute row for id {node!r}")
-            seen[i] = True
-            x[i] = values
-        # past this check some known row carried a comma, so x has >= 1 column
-        _check_known(path, "attribute ids", unknown)
-        nz = np.flatnonzero(x != 0)  # row-major: rows in order, columns sorted in each
-        rows, cols = np.divmod(nz, x.shape[1])
-        x = sp.csr_matrix((x.ravel()[nz], cols, np.searchsorted(rows, np.arange(n + 1))), x.shape)
+        x = _load_dense_csv(path, lines, index, n)
     else:
-        rows, cols, vals = [], [], []
-        for lineno, row in _fields(path, lines, "sparse attribute", "id index value"):
-            i = index.get(row[0])
-            if i is None:
-                unknown.append(row[0])
-                continue
-            try:
-                j, v = int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad triplet {row!r} ({exc})") from exc
-            if j < 0:
-                raise DataError(f"{path}:{lineno}: negative attribute index in {row!r}")
-            seen[i] = True
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-        _check_known(path, "attribute ids", unknown)
-        if not rows:
-            raise DataError(f"{path}: no attribute entries found")
-        rows, cols, vals = map(np.array, (rows, cols, vals))
-        order = np.lexsort((cols, rows))  # stable: a repeated pair keeps file order
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        # the last value written for an (id, index) wins; zeros are not stored
-        keep = np.append((rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]), True) & (vals != 0)
-        x = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, cols.max() + 1))
-    if not seen.all():
-        ids = list(index)
-        raise DataError(f"{path}: nodes without any attribute row: "
-                        f"{_listed(ids[i] for i in np.flatnonzero(~seen))}")
+        x = _load_triplets(path, lines, index, n)
     if not np.all(np.isfinite(x.data)):
         raise DataError(f"{path}: attribute matrix contains non-finite values")
     return x

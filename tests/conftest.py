@@ -29,6 +29,15 @@ import pytest
 from comdet.birch import _radius
 from comdet.graph import Graph, Partition, canonical_labels
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # property tests run a fixed example list: no random seed, no example
+    # database, no timing limit. Each test sets its own max_examples.
+    settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+
 
 def pytest_configure(config: pytest.Config) -> None:
     pythonpath = os.environ.get("PYTHONPATH")

@@ -142,6 +142,28 @@ def test_adjacency_note_only_from_commands_that_read_attributes(tmp_path, capsys
         "note: no attribute file; using adjacency rows as features\n")
 
 
+@pytest.mark.parametrize("cmd, flags, error", [
+    ("detect", ["--config", "cfg.json"], "--config: unknown keys ['threshold_rule']"),
+    ("ablate", ["--mode", "full"], "--mode: ablate needs an ablation mode"),
+])
+def test_detect_and_ablate_check_settings_before_reading_files(tmp_path, capsys, monkeypatch,
+                                                                cmd, flags, error):
+    def no_load(*args, **kwargs):
+        raise AssertionError("an input file was read")
+
+    data = _fixture(tmp_path, n=40)
+    (tmp_path / "cfg.json").write_text(json.dumps({"threshold_rule": "half-components"}))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    args = [cmd, "--edges", str(data / "edges.tsv"), "--labels", str(data / "labels.tsv"),
+            "--out", str(tmp_path / "o"), *flags]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1  # no adjacency note
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    assert main(args) == 2
+
+
 def test_encoder_too_large_for_memory_exits_2_before_any_stage(tmp_path, capsys,
                                                               monkeypatch):
     # a triplet index of 10**12 loads as a 2-value CSR matrix, but its encoder

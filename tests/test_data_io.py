@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from comdet import data_io
 from comdet.data_io import (
     DataError,
     DatasetBundle,
@@ -150,6 +151,17 @@ def _attr_error(tmp_path, attrs, labels="a u\nb v\n"):
     ("# nothing here\n\n", "no attribute entries found"),
 ])
 def test_attribute_errors_name_the_offence(tmp_path, attrs, needle):
+    assert needle in _attr_error(tmp_path, attrs)
+
+
+@pytest.mark.parametrize("attrs, needle", [
+    ("a,1,2\nb,3\n", ":2: row has 1 values, expected 2"),
+    ("b,1\na,3,4\n", ":2: row has 2 values, expected 1"),
+    ("a,1_0\nb,x\n", ":2: bad attribute value (could not convert string to float: 'x')"),
+])
+def test_every_dense_csv_block_is_checked_against_the_first_row(tmp_path, monkeypatch,
+                                                                 attrs, needle):
+    monkeypatch.setattr(data_io, "_BLOCK_CELLS", 1)  # one row per np.loadtxt call
     assert needle in _attr_error(tmp_path, attrs)
 
 
@@ -296,6 +308,32 @@ def test_triplet_load_holds_no_dense_array(tmp_path):
         tracemalloc.stop()
     assert peak < n * t * 8 / 2
     assert bundle.attributes.nnz == rows.size
+
+
+def test_dense_csv_load_holds_no_dense_array(tmp_path):
+    # 1% ones among 2000 x 2000 one-character cells: the text is 8 MB and one
+    # dense float64 array 32 MB, so the load may parse in blocks but never
+    # hold all n x T cells at once
+    rng = np.random.default_rng(31)
+    n, t = 2000, 2000
+    ones = rng.random((n, t)) < 0.01
+    cells = np.frombuffer(b",0,1", dtype="S2")[ones.astype(np.int64)].view(np.uint8)
+    body = cells.reshape(n, 2 * t)
+    e = _write(tmp_path, "e", "n0 n1\n")
+    x = tmp_path / "x"
+    x.write_bytes(b"".join(b"n%d%s\n" % (i, body[i].tobytes()) for i in range(n)))
+    l = _write(tmp_path, "l", "".join(f"n{i} {i % 7}\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        bundle = load_dataset(e, x, l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * t * 8
+    rows, cols = np.nonzero(ones)
+    assert np.array_equal(bundle.attributes.indptr, np.searchsorted(rows, np.arange(n + 1)))
+    assert np.array_equal(bundle.attributes.indices, cols)
+    assert np.array_equal(bundle.attributes.data, np.ones(rows.size))
 
 
 def _assert_canonical_csr(x):

@@ -1,0 +1,275 @@
+"""Differential property tests of the label, edge and dense CSV readers.
+
+Generated bundles carry comments, blank lines, indented lines, rows out of
+label order and odd but valid value spellings. Each is written, loaded, and
+compared array by array with ``reference_load``, a small pure-Python reader
+that reads one line at a time. Corrupted copies must fail with the message
+the reference gives: a fault in one line names that line's ``file:line``,
+and of two faults the one the line-by-line reader meets first is reported.
+
+Skipped when hypothesis is not installed; runs under the ``tier1`` profile
+of conftest.py with a small example budget.
+"""
+
+from __future__ import annotations
+
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from comdet import data_io
+from comdet.data_io import DataError, load_dataset
+
+
+class Rejected(Exception):
+    """The message the reference reader rejects a bundle with."""
+
+
+def _data_lines(path) -> list[tuple[int, str]]:
+    text = Path(path).read_text(encoding="utf-8")
+    return [(k, s) for k, line in enumerate(text.splitlines(), 1)
+            if (s := line.strip()) and not s.startswith("#")]
+
+
+def _listed(items) -> str:
+    items = list(dict.fromkeys(items))
+    extra = f" (+{len(items) - 5} more)" if len(items) > 5 else ""
+    return ", ".join(map(repr, items[:5])) + extra
+
+
+def _split(path, k: int, text: str, kind: str, shape: str) -> list[str]:
+    row = text.split()
+    if len(row) != len(shape.split()):
+        raise Rejected(f"{path}:{k}: {kind} lines must be {shape!r}, got {row!r}")
+    return row
+
+
+def reference_load(edge_path, attr_path, label_path):
+    """Node ids, label codes, kept edges (u < v, sorted), dropped self-loop
+    and duplicate counts, and dense attribute rows in label order."""
+    ids: list[str] = []
+    label_code: dict[str, int] = {}
+    codes = []
+    for k, text in _data_lines(label_path):
+        node, label = _split(label_path, k, text, "label", "id label")
+        if node in ids:
+            raise Rejected(f"{label_path}:{k}: duplicate node id {node!r}")
+        ids.append(node)
+        codes.append(label_code.setdefault(label, len(label_code)))
+    if not ids:
+        raise Rejected(f"{label_path}: no labeled nodes")
+
+    pairs, unknown = [], []
+    for k, text in _data_lines(edge_path):
+        row = _split(edge_path, k, text, "edge", "u v")
+        unknown += [node for node in row if node not in ids]
+        if all(node in ids for node in row):
+            pairs.append(tuple(sorted(ids.index(node) for node in row)))
+    if unknown:
+        raise Rejected(
+            f"{edge_path}: edge endpoints missing from the label file: {_listed(unknown)}")
+    loops = sum(u == v for u, v in pairs)
+    edges = sorted({(u, v) for u, v in pairs if u != v})
+
+    rows: dict[str, list[float]] = {}
+    unknown, width = [], None
+    for k, text in _data_lines(attr_path):
+        head, comma, rest = text.partition(",")
+        node = head.strip()
+        if node not in ids:
+            unknown.append(node)
+            continue
+        if not comma:
+            raise Rejected(f"{attr_path}:{k}: attribute row for id {node!r} has no values")
+        values = []
+        for cell in rest.split(","):
+            try:
+                values.append(float(cell))
+            except ValueError as exc:
+                raise Rejected(f"{attr_path}:{k}: bad attribute value ({exc})") from None
+        width = len(values) if width is None else width
+        if len(values) != width:
+            raise Rejected(f"{attr_path}:{k}: row has {len(values)} values, expected {width}")
+        if node in rows:
+            raise Rejected(f"{attr_path}:{k}: duplicate attribute row for id {node!r}")
+        rows[node] = values
+    if unknown:
+        raise Rejected(
+            f"{attr_path}: attribute ids missing from the label file: {_listed(unknown)}")
+    missing = [node for node in ids if node not in rows]
+    if missing:
+        raise Rejected(f"{attr_path}: nodes without any attribute row: {_listed(missing)}")
+    if not all(math.isfinite(v) for row in rows.values() for v in row):
+        raise Rejected(f"{attr_path}: attribute matrix contains non-finite values")
+    duplicates = len(pairs) - loops - len(edges)
+    return ids, codes, edges, loops, duplicates, [rows[node] for node in ids]
+
+
+_IDS = ["a", "b7", "node_3", "α", "x.y", "-3", "Q", "p#1"]
+# spellings float() reads; loadtxt refuses 1_0 and the non-ASCII digit
+_ODD = ["1_0", " +1.5 ", ".5", "1.", "-0.0", "1E3", "٣", " 2", "0", "1.0"]
+_CELLS = st.one_of(st.sampled_from(_ODD), st.floats(allow_nan=False, allow_infinity=False).map(repr))
+# spellings float() refuses; of these loadtxt reads only \x1f1, as 1
+_BAD = ["x", "1.2.3", "1__0", "nan(1)", "0x10", "", " ", "1 2", "\x1f1"]
+_NOISE = ["", "   ", "# a comment, with a comma", "  # indented comment"]
+
+
+@st.composite
+def _noisy(draw, lines: list[str]) -> list[str]:
+    """``lines`` in order, some indented, with comments and blank lines between."""
+    out = []
+    for line in lines:
+        out += draw(st.lists(st.sampled_from(_NOISE), max_size=2))
+        out.append(draw(st.sampled_from(["", " ", "\t"])) + line)
+    return out + draw(st.lists(st.sampled_from(_NOISE), max_size=1))
+
+
+@st.composite
+def bundles(draw) -> dict[str, list[str]]:
+    """The lines of a valid bundle: ``l`` labels, ``e`` edges, ``x`` dense CSV."""
+    ids = draw(st.permutations(_IDS))[:draw(st.integers(1, len(_IDS)))]
+    n = len(ids)
+    labels = draw(st.lists(st.sampled_from(["red", "blue", "7"]), min_size=n, max_size=n))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    t = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.lists(_CELLS, min_size=t, max_size=t), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    gap = st.sampled_from([" ", "\t", "  "])
+    return {
+        "l": draw(_noisy([f"{ids[i]}{draw(gap)}{labels[i]}" for i in range(n)])),
+        "e": draw(_noisy([f"{ids[u]}{draw(gap)}{ids[v]}" for u, v in edges])),
+        "x": draw(_noisy([ids[i] + draw(st.sampled_from(["", " "])) + ","
+                          + ",".join(cells[i]) for i in order])),
+    }
+
+
+def _data_index(lines: list[str]) -> list[int]:
+    return [k for k, line in enumerate(lines)
+            if line.strip() and not line.strip().startswith("#")]
+
+
+@st.composite
+def _fault(draw, files: dict[str, list[str]]) -> tuple[str, int | None]:
+    """Corrupt one line of ``files`` in place; returns the file and the line
+    number an error about it names (None for a whole-file error)."""
+    kind = draw(st.sampled_from(["bad value", "loadtxt-only value", "width", "no values",
+                                 "unknown id", "duplicate id", "non-finite", "label width",
+                                 "label duplicate", "edge width", "edge unknown"]))
+    key = {"label": "l", "edge": "e"}.get(kind.split()[0], "x")
+    lines = files[key]
+    data = _data_index(lines)
+    if key == "e" and not data:  # no edge line yet: add a self-loop
+        node = files["l"][_data_index(files["l"])[0]].split()[0]
+        lines.append(f"{node} {node}")
+        data = [len(lines) - 1]
+    if kind in ("duplicate id", "label duplicate", "width") and len(data) < 2:
+        kind = "no values" if key == "x" else "label width"
+    if kind in ("duplicate id", "label duplicate"):
+        first, second = sorted(draw(st.lists(st.sampled_from(data), min_size=2, max_size=2,
+                                             unique=True)))
+        source, target = draw(st.sampled_from([(first, second), (second, first)]))
+        node = lines[source].split(",")[0].split()[0]
+        if key == "x":
+            lines[target] = node + "," + lines[target].split(",", 1)[1]
+        else:
+            lines[target] = node + " " + lines[target].split()[1]
+        return key, second + 1
+    k = draw(st.sampled_from(data[1:] if kind == "width" else data))
+    parts = lines[k].split(",")
+    if kind == "bad value":
+        parts[draw(st.integers(1, len(parts) - 1))] = draw(st.sampled_from(_BAD))
+    elif kind == "loadtxt-only value":
+        parts[draw(st.integers(1, len(parts) - 1))] = "\x1f1"
+    elif kind == "width":
+        if len(parts) > 2 and draw(st.booleans()):
+            parts.pop()
+        else:
+            parts.append("0")
+    elif kind == "no values":
+        parts = [parts[0], ""]
+    elif kind == "unknown id":
+        parts[0] = "ghost"
+    elif kind == "non-finite":
+        parts[draw(st.integers(1, len(parts) - 1))] = draw(st.sampled_from(["inf", "-nan"]))
+    elif kind in ("label width", "edge width"):
+        parts = [parts[0] + draw(st.sampled_from([" extra", "\tx y"]))]
+    elif kind == "edge unknown":
+        parts = ["ghost " + parts[0].split()[-1]]
+    lines[k] = ",".join(parts)
+    whole_file = kind in ("unknown id", "non-finite", "edge unknown")
+    return key, None if whole_file else k + 1
+
+
+def _write(tmp, files) -> dict[str, Path]:
+    paths = {}
+    for key, lines in files.items():
+        paths[key] = Path(tmp) / {"l": "labels.tsv", "e": "edges.tsv", "x": "attrs.csv"}[key]
+        paths[key].write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return paths
+
+
+def _outcome(paths, block_cells: int):
+    """Either the loaded bundle or the DataError message; and the reference's."""
+    try:
+        expected = reference_load(paths["e"], paths["x"], paths["l"])
+    except Rejected as exc:
+        expected = str(exc)
+    # small blocks put block edges, and loadtxt refusals, between rows
+    with mock.patch.object(data_io, "_BLOCK_CELLS", block_cells):
+        try:
+            return load_dataset(paths["e"], paths["x"], paths["l"]), expected
+        except DataError as exc:
+            return str(exc), expected
+
+
+_BLOCK = st.sampled_from([1, 2, 2 ** 16])
+
+
+@settings(settings.get_profile("tier1"), max_examples=50)
+@given(bundles(), _BLOCK)
+def test_valid_bundles_load_as_the_reference_reads_them(files, block_cells):
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle, expected = _outcome(_write(tmp, files), block_cells)
+    assert not isinstance(bundle, str), bundle
+    ids, codes, edges, loops, duplicates, rows = expected
+    assert bundle.node_ids == ids
+    assert np.array_equal(bundle.labels.assignment, codes)
+    g = bundle.graph
+    assert np.array_equal(g.edge_u, [u for u, _ in edges])
+    assert np.array_equal(g.edge_v, [v for _, v in edges])
+    assert (g.dropped_self_loops, g.dropped_duplicates) == (loops, duplicates)
+    x = bundle.attributes
+    assert x.has_canonical_format and np.all(x.data != 0)
+    assert np.array_equal(x.toarray(), np.array(rows))
+
+
+@settings(settings.get_profile("tier1"), max_examples=60)
+@given(st.data(), _BLOCK)
+def test_one_faulty_line_is_named_as_the_reference_names_it(data, block_cells):
+    files = data.draw(bundles())
+    key, lineno = data.draw(_fault(files))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _write(tmp, files)
+        message, expected = _outcome(paths, block_cells)
+    assert message == expected
+    assert message.startswith(f"{paths[key]}:{lineno}: " if lineno else f"{paths[key]}: ")
+
+
+@settings(settings.get_profile("tier1"), max_examples=40)
+@given(st.data(), _BLOCK)
+def test_of_two_faults_the_first_met_line_by_line_is_reported(data, block_cells):
+    files = data.draw(bundles())
+    data.draw(_fault(files))
+    data.draw(_fault(files))
+    with tempfile.TemporaryDirectory() as tmp:
+        message, expected = _outcome(_write(tmp, files), block_cells)
+    assert message == expected

@@ -1,7 +1,8 @@
 """Property tests of the refinement invariants on generated labelled graphs.
 
-Skipped when hypothesis is not installed; runs derandomized with a small
-example budget so the suite stays fast and reproducible.
+Skipped when hypothesis is not installed; runs under the ``tier1`` profile
+of conftest.py (derandomized, no example database) with a small example
+budget, so the suite stays fast and reproducible.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def labelled_graphs(draw) -> tuple[Graph, Partition]:
     return Graph(n, edges), Partition(canonical_labels(np.asarray(labels)))
 
 
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@settings(settings.get_profile("tier1"), max_examples=40)
 @given(labelled_graphs(), st.integers(0, 2**32 - 1))
 def test_refinement_invariants_hold(graph_and_labels, seed):
     g, labels = graph_and_labels
