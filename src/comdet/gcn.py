@@ -12,6 +12,13 @@ once per attribute matrix, and ``train`` and ``forward`` take its result.
 Sparse attributes (bag-of-words rows are about 1% nonzero) stay in factored
 form: the first layer applies Â·(X·W) and Xᵀ·(Â·dZ) instead of materializing
 the dense n×T product Â·X, which can move the loss in its last bits.
+
+An epoch holds one forward cache and a few n×d buffers beside it. ``forward``
+fills the cache for one ``backward``, which consumes it: each entry is dropped
+once its gradient step has read it. SELU, its derivative, the output head
+and Adam's update work in place, in the same operation order, so every value
+keeps its bits. ``training_bytes`` is the budget for the cache and the
+weight-sized state.
 """
 
 from __future__ import annotations
@@ -44,11 +51,23 @@ _VERSION = 1
 
 
 def selu(z: np.ndarray) -> np.ndarray:
-    return SELU_LAMBDA * np.where(z > 0, z, SELU_ALPHA * np.expm1(z))
+    """λ·(z if z > 0 else α·expm1(z)), built in one new buffer."""
+    h = np.expm1(z, out=np.empty_like(z))
+    h *= SELU_ALPHA
+    np.copyto(h, z, where=z > 0)
+    h *= SELU_LAMBDA
+    return h
 
 
-def selu_grad(z: np.ndarray) -> np.ndarray:
-    return SELU_LAMBDA * np.where(z > 0, 1.0, SELU_ALPHA * np.exp(z))
+def selu_grad(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """λ·(1 if z > 0 else α·exp(z)), built in ``out`` (a new buffer by
+    default; ``out=z`` overwrites z)."""
+    positive = z > 0
+    g = np.exp(z, out=np.empty_like(z) if out is None else out)
+    g *= SELU_ALPHA
+    np.copyto(g, 1.0, where=positive)
+    g *= SELU_LAMBDA
+    return g
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:
@@ -99,7 +118,12 @@ class GcnModel:
         return aslinearoperator(self.a_norm @ x.toarray())
 
     def forward(self, ax0: LinearOperator) -> tuple[np.ndarray, dict]:
-        """Embed from ``ax0 = propagate(x)``; returns (embedding, cache for backward)."""
+        """Embed from ``ax0 = propagate(x)``; returns (embedding, cache).
+
+        The cache serves one ``backward``, which consumes it. Until then it
+        holds each layer's input Â·h (``"ax"``) and pre-activation (``"z"``),
+        the last activation ``"h3"`` and the output head's intermediates.
+        """
         if not isinstance(ax0, LinearOperator):
             raise TypeError("forward takes the output of GcnModel.propagate(x), "
                             f"not {type(ax0).__name__}")
@@ -107,6 +131,7 @@ class GcnModel:
         h = None
         for layer, w in enumerate(self.weights):
             ah = self.a_norm @ h if layer else ax0
+            del h  # backward reads Â·h, not h
             z = ah @ w
             h = selu(z)
             cache["ax"].append(ah)
@@ -116,47 +141,85 @@ class GcnModel:
         # square and scale to exactly unit-norm rows
         rowsum = h.sum(axis=1, keepdims=True)
         den = rowsum + EPS * np.where(rowsum >= 0, 1.0, -1.0)
-        xb = h / den
-        xh = np.tanh(xb)
+        xh = h / den
+        np.tanh(xh, out=xh)
         r = np.linalg.norm(xh, axis=1, keepdims=True)
-        u = xh ** 2 / (r + EPS)
+        u = xh ** 2
+        u /= r + EPS
         s = np.linalg.norm(u, axis=1, keepdims=True)
         nonzero = s > EPS
-        xe = np.where(nonzero, u / np.where(nonzero, s, 1.0), 0.0)
+        xe = u / np.where(nonzero, s, 1.0)
+        np.copyto(xe, 0.0, where=~nonzero)
         cache.update(h3=h, den=den, xh=xh, r=r, u=u, s=s, nonzero=nonzero)
         return xe, cache
 
     def backward(self, cache: dict, d_xe: np.ndarray) -> list[np.ndarray]:
-        """Gradients of the loss w.r.t. the three weight matrices."""
-        xh, r, u, s = cache["xh"], cache["r"], cache["u"], cache["s"]
-        nonzero = cache["nonzero"]
+        """Gradients of the loss w.r.t. the three weight matrices.
 
-        # unit-norm scaling: xe = u / s on non-degenerate rows
-        safe_s = np.where(nonzero, s, 1.0)
-        dot = (d_xe * u).sum(axis=1, keepdims=True)
-        du = np.where(nonzero, d_xe / safe_s - u * dot / safe_s ** 3, 0.0)
-
-        # u = xh^2 / (r + eps) with r = ||xh||
-        rp = r + EPS
-        inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
-        row = (du * xh ** 2).sum(axis=1, keepdims=True)
-        d_xh = 2.0 * xh * du / rp - xh * row * inv_r / rp ** 2
-
-        # xh = tanh(xb)
-        d_xb = d_xh * (1.0 - xh ** 2)
-
-        # xb = h3 / den with den = rowsum(h3) + shift
-        h3, den = cache["h3"], cache["den"]
-        row = (d_xb * h3).sum(axis=1, keepdims=True)
-        d_h = d_xb / den - row / den ** 2
-
+        Consumes ``cache``: every entry is popped once used, and each layer's
+        ``z`` is overwritten with its gradient. A second ``backward`` on the
+        same cache raises ``ValueError``.
+        """
+        if "h3" not in cache or len(cache["z"]) != len(self.weights):
+            raise ValueError("this forward cache was already consumed by backward; "
+                             "run forward again for a fresh one")
+        d_h = _head_backward(cache, d_xe)
         grads: list[np.ndarray] = [None] * len(self.weights)
         for layer in range(len(self.weights) - 1, -1, -1):
-            dz = d_h * selu_grad(cache["z"][layer])
-            grads[layer] = cache["ax"][layer].T @ dz
+            dz = cache["z"].pop()
+            selu_grad(dz, out=dz)  # nothing reads z again
+            dz *= d_h
+            del d_h
+            grads[layer] = cache["ax"].pop().T @ dz
             if layer:
                 d_h = self.a_norm @ (dz @ self.weights[layer].T)
         return grads
+
+
+def _head_backward(cache: dict, d_xe: np.ndarray) -> np.ndarray:
+    """The output head's gradient w.r.t. ``h3``, popping the head's cache
+    entries; the n×d work runs in place in two buffers."""
+    u, s, nonzero = cache.pop("u"), cache.pop("s"), cache.pop("nonzero")
+
+    # unit-norm scaling: xe = u / s on non-degenerate rows
+    safe_s = np.where(nonzero, s, 1.0)
+    tmp = d_xe * u
+    dot = tmp.sum(axis=1, keepdims=True)
+    du = d_xe / safe_s
+    np.multiply(u, dot, out=tmp)
+    tmp /= safe_s ** 3
+    du -= tmp
+    np.copyto(du, 0.0, where=~nonzero)
+    del u
+
+    # u = xh^2 / (r + eps) with r = ||xh||; du becomes d_xh
+    xh, r = cache.pop("xh"), cache.pop("r")
+    rp = r + EPS
+    inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
+    np.square(xh, out=tmp)
+    tmp *= du
+    row = tmp.sum(axis=1, keepdims=True)
+    np.multiply(xh, 2.0, out=tmp)
+    du *= tmp
+    du /= rp
+    np.multiply(xh, row, out=tmp)
+    tmp *= inv_r
+    tmp /= rp ** 2
+    du -= tmp
+
+    # xh = tanh(xb); du becomes d_xb
+    np.square(xh, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    du *= tmp
+    del xh
+
+    # xb = h3 / den with den = rowsum(h3) + shift; du becomes d_h3
+    h3, den = cache.pop("h3"), cache.pop("den")
+    np.multiply(du, h3, out=tmp)
+    row = tmp.sum(axis=1, keepdims=True)
+    du /= den
+    du -= row / den ** 2
+    return du
 
 
 @dataclass
@@ -175,13 +238,26 @@ class AdamState:
                    v=[np.zeros_like(w) for w in weights])
 
     def step(self, weights: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """Update ``weights`` in place. Consumes ``grads``: once the moments
+        have read a gradient, its array holds the step, so each weight needs
+        one temporary besides."""
         self.t += 1
-        for i, (w, grad) in enumerate(zip(weights, grads)):
-            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * grad
-            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * grad ** 2
-            m_hat = self.m[i] / (1.0 - ADAM_BETA1 ** self.t)
-            v_hat = self.v[i] / (1.0 - ADAM_BETA2 ** self.t)
-            w -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for w, grad, m, v in zip(weights, grads, self.m, self.v, strict=True):
+            tmp = (1.0 - ADAM_BETA1) * grad
+            m *= ADAM_BETA1
+            m += tmp
+            np.square(grad, out=tmp)
+            tmp *= 1.0 - ADAM_BETA2
+            v *= ADAM_BETA2
+            v += tmp
+            # w -= lr · m_hat / (sqrt(v_hat) + eps)
+            np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            step = np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=grad)
+            step *= self.lr
+            step /= tmp
+            w -= step
 
 
 def training_bytes(n: int, in_dim: int, hidden_dims: tuple[int, int, int]) -> int:
@@ -213,7 +289,10 @@ def train(model: GcnModel, ax0: LinearOperator, loss_provider, epochs: int = 300
     returns the model and per-epoch losses.
 
     ``loss_provider`` maps an embedding to ``(loss, d_loss/d_embedding)``.
-    Zero epochs (or a zero learning rate) leave the weights untouched.
+    Zero epochs (or a zero learning rate) leave the weights untouched. Each
+    epoch's backward consumes its forward cache, and the epoch drops its
+    embedding and gradients before the next forward, so only one cache is
+    alive at a time.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -222,11 +301,13 @@ def train(model: GcnModel, ax0: LinearOperator, loss_provider, epochs: int = 300
     for epoch in range(epochs):
         xe, cache = model.forward(ax0)
         loss, d_xe = loss_provider(xe)
+        del xe  # backward needs only the cache and d_xe
         if not np.isfinite(loss):
             raise TrainingDiverged(epoch, float(loss),
                                    [float(np.linalg.norm(w)) for w in model.weights])
-        grads = model.backward(cache, d_xe)
-        adam.step(model.weights, grads)
+        adam.step(model.weights, model.backward(cache, d_xe))
+        # nothing n×d outlives its epoch: backward emptied the cache
+        del cache, d_xe
         trace.append(float(loss))
     return model, trace
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import tracemalloc
 from dataclasses import dataclass
 
 for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
@@ -66,6 +67,18 @@ def two_cliques_bridge() -> Graph:
     edges += [(a + 4, b + 4) for a, b in [(a, b) for a in range(4) for b in range(a + 1, 4)]]
     edges.append((3, 4))
     return Graph(8, edges)
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the result of ``fn`` and the tracemalloc peak, in
+    bytes, of what it allocated while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:

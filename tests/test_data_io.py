@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +23,8 @@ from comdet.data_io import (
     write_results,
 )
 from comdet.graph import Graph, Partition, component_counts
+
+from conftest import traced_peak
 
 
 def _write(tmp_path, name, text):
@@ -279,12 +280,7 @@ def test_attribute_free_load_stays_sparse(tmp_path):
     v = rng.integers(0, n, size=30_000)
     e = _write(tmp_path, "e", "".join(f"n{a} n{b}\n" for a, b in zip(u, v)))
     l = _write(tmp_path, "l", "".join(f"n{i} {i % 7}\n" for i in range(n)))
-    tracemalloc.start()
-    try:
-        bundle = load_dataset(e, None, l)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    bundle, peak = traced_peak(lambda: load_dataset(e, None, l))
     assert peak < 50e6
     assert sp.issparse(bundle.attributes)
     assert bundle.attributes.shape == (n, n)
@@ -300,12 +296,7 @@ def test_triplet_load_holds_no_dense_array(tmp_path):
     e = _write(tmp_path, "e", "n0 n1\n")
     x = _write(tmp_path, "x", "".join(f"n{i} {j} 1\n" for i, j in zip(rows, cols)))
     l = _write(tmp_path, "l", "".join(f"n{i} {i % 7}\n" for i in range(n)))
-    tracemalloc.start()
-    try:
-        bundle = load_dataset(e, x, l)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    bundle, peak = traced_peak(lambda: load_dataset(e, x, l))
     assert peak < n * t * 8 / 2
     assert bundle.attributes.nnz == rows.size
 
@@ -323,12 +314,7 @@ def test_dense_csv_load_holds_no_dense_array(tmp_path):
     x = tmp_path / "x"
     x.write_bytes(b"".join(b"n%d%s\n" % (i, body[i].tobytes()) for i in range(n)))
     l = _write(tmp_path, "l", "".join(f"n{i} {i % 7}\n" for i in range(n)))
-    tracemalloc.start()
-    try:
-        bundle = load_dataset(e, x, l)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    bundle, peak = traced_peak(lambda: load_dataset(e, x, l))
     assert peak < n * t * 8
     rows, cols = np.nonzero(ones)
     assert np.array_equal(bundle.attributes.indptr, np.searchsorted(rows, np.arange(n + 1)))
@@ -530,12 +516,7 @@ def test_synthetic_matches_the_dense_reference_draw(spec):
 
 def test_synthetic_memory_is_linear_in_n():
     spec = SyntheticSpec(n=3000, k=10, p_in=0.02, p_out=0.001, disconnect_fraction=0.4)
-    tracemalloc.start()
-    try:
-        bundle = generate_synthetic(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    bundle, peak = traced_peak(lambda: generate_synthetic(spec))
     # a tenth of one n × n float64 array: the edge draw may hold no n² cells
     assert peak < 0.1 * spec.n ** 2 * 8
     assert component_counts(bundle.graph, bundle.labels).tolist() == [2] * 4 + [1] * 2

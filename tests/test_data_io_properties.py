@@ -1,4 +1,4 @@
-"""Differential property tests of the label, edge and dense CSV readers.
+"""Differential property tests of the label, edge, dense CSV and triplet readers.
 
 Generated bundles carry comments, blank lines, indented lines, rows out of
 label order and odd but valid value spellings. Each is written, loaded, and
@@ -6,6 +6,8 @@ compared array by array with ``reference_load``, a small pure-Python reader
 that reads one line at a time. Corrupted copies must fail with the message
 the reference gives: a fault in one line names that line's ``file:line``,
 and of two faults the one the line-by-line reader meets first is reported.
+Triplet files, repeated cells included, must load as a last-value-wins
+reference reads them, and as the dense CSV file of the same matrix loads.
 
 Skipped when hypothesis is not installed; runs under the ``tier1`` profile
 of conftest.py with a small example budget.
@@ -273,3 +275,83 @@ def test_of_two_faults_the_first_met_line_by_line_is_reported(data, block_cells)
     with tempfile.TemporaryDirectory() as tmp:
         message, expected = _outcome(_write(tmp, files), block_cells)
     assert message == expected
+
+
+# value spellings with no whitespace inside, so a triplet line splits in three
+_TRIPLET_CELLS = st.one_of(st.sampled_from([c.strip() for c in _ODD]),
+                           st.floats(allow_nan=False, allow_infinity=False).map(repr))
+
+
+@st.composite
+def _matrices(draw) -> tuple[list[str], list[list[str]]]:
+    """Node ids in label order and an n × t matrix of value spellings."""
+    ids = draw(st.permutations(_IDS))[:draw(st.integers(1, len(_IDS)))]
+    t = draw(st.integers(1, 5))
+    cells = st.one_of(st.just("0"), _TRIPLET_CELLS)
+    return ids, draw(st.lists(st.lists(cells, min_size=t, max_size=t),
+                              min_size=len(ids), max_size=len(ids)))
+
+
+def _with_earlier_values(draw, lines: list[str]) -> list[str]:
+    """Triplet ``lines`` in order, each preceded somewhere earlier by up to two
+    other values for its ``(id, index)`` cell, which the line must overwrite."""
+    keyed = [(2 * k, line) for k, line in enumerate(lines)]
+    for k, line in enumerate(lines):
+        node, j, _ = line.split()
+        for value in draw(st.lists(_TRIPLET_CELLS, max_size=2)):
+            keyed.append((2 * draw(st.integers(0, k)) - 1, f"{node} {j} {value}"))
+    return [line for _, line in sorted(keyed, key=lambda kv: kv[0])]
+
+
+def _load_attrs(tmp, ids: list[str], attr_lines: list[str], block_cells: int = 2 ** 16):
+    files = {"l": [f"{node} 0" for node in ids], "e": [], "x": attr_lines}
+    with mock.patch.object(data_io, "_BLOCK_CELLS", block_cells):
+        paths = _write(tmp, files)
+        return load_dataset(paths["e"], paths["x"], paths["l"]).attributes
+
+
+@settings(settings.get_profile("tier1"), max_examples=60)
+@given(st.data())
+def test_repeated_triplets_keep_the_last_value(data):
+    ids = data.draw(st.permutations(_IDS))[:data.draw(st.integers(1, len(_IDS)))]
+    n = len(ids)
+    # few columns, so many lines land on one (id, index) cell
+    triplet = st.tuples(st.integers(0, n - 1), st.integers(0, 3),
+                        st.one_of(st.just("0"), _TRIPLET_CELLS))
+    rows = data.draw(st.lists(triplet, min_size=1, max_size=4 * n))
+    present = {i for i, _, _ in rows}
+    rows += [(i, 0, "0") for i in range(n) if i not in present]  # every node appears
+    order = data.draw(st.permutations(range(len(rows))))
+    rows = [rows[k] for k in order]
+    lines = data.draw(_noisy([f"{ids[i]} {j} {v}" for i, j, v in rows]))
+
+    expected = np.zeros((n, 1 + max(j for _, j, _ in rows)))
+    for i, j, v in rows:  # file order: a later line overwrites an earlier one
+        expected[i, j] = float(v)
+    with tempfile.TemporaryDirectory() as tmp:
+        x = _load_attrs(tmp, ids, lines)
+    assert x.has_canonical_format and np.all(x.data != 0)
+    assert np.array_equal(x.toarray(), expected)
+
+
+@settings(settings.get_profile("tier1"), max_examples=60)
+@given(_matrices(), st.data(), _BLOCK)
+def test_csv_and_triplet_files_of_one_matrix_load_equal(matrix, data, block_cells):
+    ids, cells = matrix
+    n, t = len(ids), len(cells[0])
+    csv_rows = data.draw(st.permutations(range(n)))
+    csv = [ids[i] + "," + ",".join(cells[i]) for i in csv_rows]
+    # the nonzero cells, and an explicit zero in the last column where that
+    # cell is zero, so every node appears and the file spans all t columns
+    kept = [(i, j) for i in range(n) for j in range(t)
+            if float(cells[i][j]) != 0 or j == t - 1]
+    kept = [kept[k] for k in data.draw(st.permutations(range(len(kept))))]
+    triplets = _with_earlier_values(data.draw, [f"{ids[i]} {j} {cells[i][j]}" for i, j in kept])
+    with tempfile.TemporaryDirectory() as tmp:
+        from_csv = _load_attrs(tmp, ids, data.draw(_noisy(csv)), block_cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        from_triplets = _load_attrs(tmp, ids, data.draw(_noisy(triplets)))
+    assert from_csv.shape == from_triplets.shape == (n, t)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(from_csv, name), getattr(from_triplets, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

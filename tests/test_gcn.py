@@ -25,11 +25,12 @@ from comdet.gcn import (
     selu,
     selu_grad,
     train,
+    training_bytes,
 )
 from comdet.graph import Graph, Partition
 from comdet.loss import PairwiseTarget, pairwise_loss
 
-from conftest import random_connected_graph, random_graph, random_partition
+from conftest import random_connected_graph, random_graph, random_partition, traced_peak
 
 gcn_module = importlib.import_module("comdet.gcn")
 
@@ -129,6 +130,19 @@ def test_forward_scalar_chain():
     assert cache["h3"][1, 0] == pytest.approx(h2b, rel=1e-14)
     assert xe[0, 0] == pytest.approx(_scalar_embed(h2a), abs=1e-12)
     assert xe[1, 0] == pytest.approx(_scalar_embed(h2b), abs=1e-12)
+
+
+def test_backward_consumes_its_cache():
+    rng = np.random.default_rng(37)
+    g = random_connected_graph(rng, 10, 0.3)
+    model = GcnModel(g, in_dim=3, hidden_dims=(4, 3, 2), seed=2)
+    xe, cache = model.forward(model.propagate(rng.normal(size=(10, 3))))
+    # until backward runs, the cache holds the last activation
+    assert cache["h3"].shape == (10, 2)
+    model.backward(cache, np.ones_like(xe))
+    assert "h3" not in cache and cache["z"] == [] and cache["ax"] == []
+    with pytest.raises(ValueError, match="already consumed"):
+        model.backward(cache, np.ones_like(xe))
 
 
 def test_uniform_rows_embed_to_equal_components():
@@ -295,6 +309,21 @@ def test_train_reduces_loss():
     assert len(trace) == 60
     assert trace[-1] < trace[0]
     assert min(trace) < 0.9 * trace[0]
+
+
+def test_train_peak_memory_stays_near_training_bytes():
+    # one forward cache and a few n×d buffers: the peak of a short run at
+    # the default hidden_dims stays within 1.6 × training_bytes (about 1.2
+    # here; 2.2 while each epoch's cache outlived the next forward)
+    bundle = generate_synthetic(SyntheticSpec(n=4000, k=8, p_in=0.01, p_out=0.0005,
+                                              t=32, seed=5))
+    model = GcnModel(bundle.graph, in_dim=bundle.t, seed=0)
+    ax0 = model.propagate(bundle.attributes)
+    target = PairwiseTarget(bundle.labels)
+    (_, trace), peak = traced_peak(
+        lambda: train(model, ax0, lambda xe: pairwise_loss([(target, 1.0)], xe), epochs=3))
+    assert len(trace) == 3
+    assert peak < 1.6 * training_bytes(bundle.n, bundle.t, model.hidden_dims)
 
 
 def test_train_zero_epochs_and_zero_lr_keep_weights():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +25,7 @@ from conftest import (
     partition_from_labels,
     random_graph,
     random_partition,
+    traced_peak,
 )
 
 
@@ -225,13 +225,7 @@ def test_nmi_and_f1_memory_is_linear_in_n():
     # the dense table for two singleton partitions at n = 2000 is 32 MB
     c = Partition(np.arange(2000))
     d = Partition(np.arange(2000))
-    tracemalloc.start()
-    try:
-        nmi(c, d)
-        f1_score(c, d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: (nmi(c, d), f1_score(c, d)))
     assert peak < 5_000_000
 
 
