@@ -10,9 +10,11 @@ with it exactly, and any mismatch is a hard error naming the offenders.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +34,12 @@ __all__ = [
 ]
 
 _MAX_LISTED = 5  # offenders shown in error messages before truncating
-_BLOCK_CELLS = 2 ** 16  # dense CSV cells parsed per np.loadtxt call
+_BLOCK_CELLS = 2 ** 16  # fields or dense CSV cells tokenized per block
+# a file holding one of these is normalized line by line (_data_text): the line
+# breaks of str.splitlines other than \n, \x1f (str.strip drops it, float()
+# refuses it), and a blank or comment line
+_IRREGULAR = "\r\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+_SKIPPED = re.compile(r"\n[^\S\n]*(?:[\n#]|\Z)")
 ADJACENCY_NOTE = "no attribute file; using adjacency rows as features"
 
 
@@ -81,32 +88,97 @@ class DatasetBundle:
         return int(self.attributes.shape[1])
 
 
-def _read_lines(path) -> list[tuple[int, str]]:
-    """``(line number, stripped text)`` of every data line: blank lines and
-    ``#`` comments are skipped."""
+def _read_text(path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
-    return [(lineno, stripped) for lineno, line in enumerate(text.splitlines(), 1)
-            if (stripped := line.strip()) and not stripped.startswith("#")]
 
 
-def _fields(path, lines, kind: str, shape: str):
-    """Whitespace-split ``lines`` of ``path``, each holding the fields of ``shape``."""
+def _data_text(path) -> str:
+    """The data lines of ``path``, each ending in ``\\n``: blank lines and ``#``
+    comments are dropped, and lines break where ``str.splitlines`` breaks them.
+    Line numbers are not kept; only ``_numbered_lines`` counts them.
+
+    A file with none of those and no ``\\x1f`` comes back as read, which saves
+    a copy of every line: ``str.split`` and ``float()`` skip the whitespace
+    around a field as ``str.strip`` would."""
+    text = _read_text(path)
+    head = text[:text.find("\n") + 1]  # the first line, "" if there is no newline
+    if (any(c in text for c in _IRREGULAR) or _SKIPPED.match("\n" + head)
+            or _SKIPPED.search(text, 0, len(text) - text.endswith("\n"))):
+        return "".join(f"{stripped}\n" for line in text.splitlines()
+                       if (stripped := line.strip()) and not stripped.startswith("#"))
+    return text if text.endswith("\n") else text + "\n"
+
+
+def _numbered_lines(path):
+    """``(line number, stripped text)`` of every data line, read again only
+    to name a fault: blank lines and ``#`` comments are skipped."""
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
+        if (stripped := line.strip()) and not stripped.startswith("#"):
+            yield lineno, stripped
+
+
+def _numbered_rows(path, kind: str, shape: str):
+    """``(line number, fields)`` of every data line, each holding the
+    whitespace-separated fields of ``shape``; raises at the first that does not."""
     width = len(shape.split())
-    for lineno, text in lines:
+    for lineno, text in _numbered_lines(path):
         row = text.split()
         if len(row) != width:
             raise DataError(f"{path}:{lineno}: {kind} lines must be {shape!r}, got {row!r}")
         yield lineno, row
 
 
-def _widths_are(lines, width: int) -> bool:
-    """Whether every line holds ``width`` whitespace-separated fields."""
-    return set(map(len, map(str.split, (text for _, text in lines)))) <= {width}
+def _faulter(scan, path, *args):
+    """The ``fault()`` of a bulk reader: ``scan(path, *args)`` reads the file
+    line by line and raises its ``DataError``. A scan that finds nothing
+    means the bulk and line readers disagree, a bug in this module."""
+    def fault() -> NoReturn:
+        scan(path, *args)
+        raise AssertionError(f"{path}: the bulk parse refused what the line scan accepts")
+    return fault
+
+
+def _blocks(text: str, width: int):
+    """``text`` (from ``_data_text``) in slices of whole lines, each about
+    ``_BLOCK_CELLS`` cells when a line holds ``width`` of them."""
+    step = max(1, _BLOCK_CELLS // max(1, width)) * (text.find("\n") + 1)
+    lo = 0
+    while lo < len(text):
+        hi = text.find("\n", lo + step - 1) + 1 or len(text)
+        yield text[lo:hi]
+        lo = hi
+
+
+def _columns(text: str, width: int, fault):
+    """The ``width`` whitespace-separated columns of ``text``'s lines (from
+    ``_data_text``), yielded a block at a time, so only one block's fields
+    are alive at a time. ``fault()`` (from ``_faulter``) raises when a line
+    holds another number of fields."""
+    marker = "\0"
+    while marker in text:  # each newline becomes a field no line holds
+        marker += "\0"
+    for block in _blocks(text, width):
+        fields = block.replace("\n", f" {marker} ").split()
+        lines = block.count("\n")
+        # every line holds width fields iff the markers fall every width + 1
+        if len(fields) != (width + 1) * lines or fields[width::width + 1].count(marker) != lines:
+            fault()
+        yield [fields[c::width + 1] for c in range(width)]
+
+
+def _positions(index: dict[str, int], ids: list[str], fault) -> np.ndarray:
+    """Node indices of ``ids``; ``fault()`` (from ``_faulter``) raises at an
+    unknown id."""
+    try:
+        return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+    except KeyError:
+        pass
+    fault()
 
 
 def _listed(items) -> str:
@@ -129,43 +201,53 @@ def _check_covered(path, index: dict[str, int], seen: np.ndarray) -> None:
                         f"{_listed(ids[i] for i in np.flatnonzero(~seen))}")
 
 
+def _check_finite(path, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{path}: attribute matrix contains non-finite values")
+
+
+def _codes(labels: list[str]) -> np.ndarray:
+    """Dense codes of ``labels``, numbered in order of first occurrence."""
+    code = {label: c for c, label in enumerate(dict.fromkeys(labels))}
+    return np.fromiter(map(code.__getitem__, labels), np.int64, len(labels))
+
+
+def _label_fault(path) -> None:
+    """Raise at the first label line of another width or repeated id."""
+    seen: set[str] = set()
+    for lineno, (node, _) in _numbered_rows(path, "label", "id label"):
+        if node in seen:
+            raise DataError(f"{path}:{lineno}: duplicate node id {node!r}")
+        seen.add(node)
+
+
 def _load_labels(path) -> tuple[list[str], dict[str, int], np.ndarray]:
     """Node universe and dense label codes, both in file order."""
-    lines = _read_lines(path)
-    fields = " ".join(text for _, text in lines).split()
-    nodes, labels = fields[0::2], fields[1::2]
+    fault = _faulter(_label_fault, path)
+    nodes: list[str] = []
+    labels: list[str] = []
+    for node_col, label_col in _columns(_data_text(path), 2, fault):
+        nodes += node_col
+        labels += label_col
     index = dict(zip(nodes, range(len(nodes))))
-    if len(index) < len(nodes) or not _widths_are(lines, 2):
-        # the line loop names the first line of another width or repeated id
-        seen: set[str] = set()
-        for lineno, (node, _) in _fields(path, lines, "label", "id label"):
-            if node in seen:
-                raise DataError(f"{path}:{lineno}: duplicate node id {node!r}")
-            seen.add(node)
+    if len(index) < len(nodes):
+        fault()
     if not index:
         raise DataError(f"{path}: no labeled nodes")
-    code = {label: c for c, label in enumerate(dict.fromkeys(labels))}
-    return nodes, index, np.fromiter(map(code.__getitem__, labels), np.int64, len(labels))
+    return nodes, index, _codes(labels)
 
 
-def _edge_ends(path, index: dict[str, int]) -> np.ndarray:
-    """Node indices of both ends of every edge line, in file order."""
-    lines = _read_lines(path)
-    if not _widths_are(lines, 2):
-        for _ in _fields(path, lines, "edge", "u v"):
-            pass  # raises at the first line of another width
-    ends = chain.from_iterable(text.split() for _, text in lines)
-    try:
-        return np.fromiter(map(index.__getitem__, ends), np.int64, 2 * len(lines))
-    except KeyError:
-        _check_known(path, "edge endpoints", [node for _, text in lines
-                                              for node in text.split() if node not in index])
-        raise
+def _edge_fault(path, index: dict[str, int]) -> None:
+    """Raise at the first edge line of another width, else name the unknown ends."""
+    _check_known(path, "edge endpoints", [node for _, row in _numbered_rows(path, "edge", "u v")
+                                          for node in row if node not in index])
 
 
 def _load_edges(path, index: dict[str, int], n: int) -> tuple[Graph, list[str]]:
-    # the lines are freed before the graph is built
-    g = Graph(n, _edge_ends(path, index).reshape(-1, 2))
+    fault = _faulter(_edge_fault, path, index)
+    ends = [np.column_stack([_positions(index, us, fault), _positions(index, vs, fault)])
+            for us, vs in _columns(_data_text(path), 2, fault)]
+    g = Graph(n, np.concatenate(ends) if ends else np.empty((0, 2), np.int64))
     notes = []
     if g.dropped_self_loops:
         notes.append(f"dropped {g.dropped_self_loops} self-loop(s)")
@@ -188,37 +270,15 @@ def _csv_row(path, lineno: int, text: str, width: int | None) -> np.ndarray:
     return values
 
 
-def _csv_block(path, block, width: int | None) -> np.ndarray:
-    """Values of consecutive dense CSV rows, parsed in bulk when ``np.loadtxt``
-    reads them as ``_csv_row`` would."""
-    rests = [text.partition(",")[2] for _, text in block]
-    # loadtxt would skip the empty rest of a row "id," and strips \x1c-\x1f
-    # as spaces, which float() does not; splitlines() ends a line at \x1c-\x1e
-    if all(rests) and not any("\x1f" in rest for rest in rests):
-        try:
-            values = np.loadtxt(rests, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if width in (None, values.shape[1]):
-                return values
-    # refused: row by row, float() also reads 1_0 and non-ASCII digits, and a
-    # bad row is named
-    rows = []
-    for lineno, text in block:
-        rows.append(_csv_row(path, lineno, text, width))
-        width = rows[-1].size
-    return np.array(rows)
-
-
-def _raise_csv_id_error(path, lines, ids: list[str], index: dict[str, int], n: int) -> None:
-    """Raise the error of a dense CSV whose ids are not the label ids once
-    each, as the row loop meets it: the first bad row, else the unknown ids,
-    else the nodes without a row."""
+def _csv_fault(path, index: dict[str, int], n: int) -> None:
+    """Raise the error of a dense CSV the bulk parse refused, as the row loop
+    meets it: the first bad row, else the unknown ids, else the nodes
+    without a row."""
     seen = np.zeros(n, dtype=bool)
     unknown: list[str] = []
     width = None
-    for (lineno, text), node in zip(lines, ids):
+    for lineno, text in _numbered_lines(path):
+        node = text.partition(",")[0].strip()
         i = index.get(node)
         if i is None:
             unknown.append(node)
@@ -231,76 +291,114 @@ def _raise_csv_id_error(path, lines, ids: list[str], index: dict[str, int], n: i
     _check_covered(path, index, seen)
 
 
-def _load_dense_csv(path, lines, index: dict[str, int], n: int) -> sp.csr_matrix:
+def _segments(b: np.ndarray, start: np.ndarray, stop: np.ndarray) -> list[str]:
+    """The text of each ``b[start:stop]``, where every ``b[stop]`` is a comma
+    or newline (so no segment splits a UTF-8 character)."""
+    size = stop - start + 1  # with the separator after it
+    end = np.cumsum(size)
+    picked = b[np.arange(size.sum()) + np.repeat(start - end + size, size)]
+    picked[end - 1] = ord("\n")
+    return picked.tobytes().decode("utf-8").split("\n")[:-1]
+
+
+def _csv_cells(block: str, width: int):
+    """Ids, per-row nonzero counts, columns and values of the dense CSV rows
+    in ``block`` (whole ``\\n``-ended lines), or None when a row does not hold
+    ``width`` values or a value does not parse.
+
+    Cells spelled exactly ``0`` or ``0.0`` are dropped by a test of the UTF-8
+    bytes around each separator; the rest are read as ``float()`` reads them.
+    """
+    b = np.frombuffer(block.encode("utf-8"), np.uint8)
+    newline, comma = b == ord("\n"), b == ord(",")
+    sep = np.flatnonzero(newline | comma)
+    rows = np.count_nonzero(newline)
+    # every row holds width values iff its newline is its (width + 1)-th separator
+    if not width or sep.size != rows * (width + 1) or not np.all(newline[sep[width::width + 1]]):
+        return None
+    # zero[p]: the cell before separator p is ",0" or ",0.0"
+    digit0 = b == ord("0")
+    comma0 = comma[:-1] & digit0[1:]
+    zero = np.zeros(b.size, dtype=bool)
+    zero[2:] = comma0[:-1]
+    zero[4:] |= comma0[:-3] & (b[2:-2] == ord(".")) & digit0[3:-1]
+    dropped = zero[sep].reshape(rows, width + 1)
+    dropped[:, 0] = True  # the id
+    kept = np.flatnonzero(~dropped)
+    try:
+        values = np.array(_segments(b, sep[kept - 1] + 1, sep[kept]), dtype=np.float64)
+    except ValueError:
+        return None
+    nz = np.flatnonzero(values)  # a value may still read as zero, such as -0.0
+    r, c = np.divmod(kept[nz], width + 1)
+    ids = _segments(b, np.append(0, sep[width::width + 1][:-1] + 1), sep[::width + 1])
+    return [s.strip() for s in ids], np.bincount(r, minlength=rows), c - 1, values[nz]
+
+
+def _load_dense_csv(path, text: str, index: dict[str, int], n: int) -> sp.csr_matrix:
     """Dense CSV rows as CSR, parsed in blocks of about ``_BLOCK_CELLS``
     cells, each kept only as its nonzeros: no n×T array is built."""
-    ids = [text.partition(",")[0].strip() for _, text in lines]
-    try:
-        order = np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
-    except KeyError:
-        order = None
-    if order is None or order.size != n or np.unique(order).size != n:
-        _raise_csv_id_error(path, lines, ids, index, n)
-    step = max(1, _BLOCK_CELLS // max(1, lines[0][1].count(",")))
-    width = None
-    counts, indices, data = [], [], []
-    for lo in range(0, n, step):
-        values = _csv_block(path, lines[lo:lo + step], width)
-        width = values.shape[1]
-        nz = np.flatnonzero(values)  # row-major: rows in order, columns sorted in each
-        rows, cols = np.divmod(nz, width)
-        counts.append(np.bincount(rows, minlength=values.shape[0]))
-        indices.append(cols)
-        data.append(values.ravel()[nz])
+    width = text.count(",", 0, text.find("\n"))  # the first row's values
+    fault = _faulter(_csv_fault, path, index, n)
+    ids, counts, indices, data = zip(*(_csv_cells(block, width) or fault()
+                                       for block in _blocks(text, width)))
+    order = _positions(index, list(chain.from_iterable(ids)), fault)
+    if order.size != n or np.unique(order).size != n:
+        fault()
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     x = sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, width))
+    _check_finite(path, x.data)
     # file row r holds node order[r]
     return x[np.argsort(order)]
 
 
-def _load_triplets(path, lines, index: dict[str, int], n: int) -> sp.csr_matrix:
-    seen = np.zeros(n, dtype=bool)
-    rows, cols, vals = [], [], []
+def _triplet_fault(path, index: dict[str, int]) -> None:
+    """Raise at the first bad triplet line, else name the unknown ids."""
     unknown: list[str] = []
-    for lineno, row in _fields(path, lines, "sparse attribute", "id index value"):
-        i = index.get(row[0])
-        if i is None:
+    for lineno, row in _numbered_rows(path, "sparse attribute", "id index value"):
+        if row[0] not in index:
             unknown.append(row[0])
             continue
         try:
-            j, v = int(row[1]), float(row[2])
+            j, _ = int(row[1]), float(row[2])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad triplet {row!r} ({exc})") from exc
         if j < 0:
             raise DataError(f"{path}:{lineno}: negative attribute index in {row!r}")
-        seen[i] = True
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
     _check_known(path, "attribute ids", unknown)
+
+
+def _load_triplets(path, text: str, index: dict[str, int], n: int) -> sp.csr_matrix:
+    fault = _faulter(_triplet_fault, path, index)
+    rows, cols, vals = [], [], []
+    for ids, js, vs in _columns(text, 3, fault):
+        rows.append(_positions(index, ids, fault))
+        try:
+            cols.append(np.fromiter(map(int, js), np.int64, len(js)))
+            vals.append(np.array(vs, dtype=np.float64))  # as float() reads each
+        except ValueError:
+            fault()
+        if cols[-1].min() < 0:
+            fault()
     if not rows:
         raise DataError(f"{path}: no attribute entries found")
-    rows, cols, vals = map(np.array, (rows, cols, vals))
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    _check_covered(path, index, np.bincount(rows, minlength=n) > 0)
+    _check_finite(path, vals)  # an overwritten value too
     order = np.lexsort((cols, rows))  # stable: a repeated pair keeps file order
     rows, cols, vals = rows[order], cols[order], vals[order]
     # the last value written for an (id, index) wins; zeros are not stored
     keep = np.append((rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]), True) & (vals != 0)
-    x = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, cols.max() + 1))
-    _check_covered(path, index, seen)
-    return x
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, cols.max() + 1))
 
 
 def _load_attributes(path, index: dict[str, int], n: int) -> sp.csr_matrix:
     """Dense CSV rows or sparse triplets, as CSR."""
-    lines = _read_lines(path)
+    text = _data_text(path)
     # dense CSV rows carry commas; sparse triplet rows are whitespace-only
-    if any("," in text for _, text in lines):
-        x = _load_dense_csv(path, lines, index, n)
-    else:
-        x = _load_triplets(path, lines, index, n)
-    if not np.all(np.isfinite(x.data)):
-        raise DataError(f"{path}: attribute matrix contains non-finite values")
-    return x
+    if "," in text:
+        return _load_dense_csv(path, text, index, n)
+    return _load_triplets(path, text, index, n)
 
 
 def load_dataset(edge_path, attr_path, label_path, name: str | None = None) -> DatasetBundle:
@@ -316,20 +414,34 @@ def load_dataset(edge_path, attr_path, label_path, name: str | None = None) -> D
                          name=name or Path(label_path).stem, notes=notes)
 
 
-def load_partition(path, node_ids: list[str]) -> Partition:
-    """Read an 'id community' file covering exactly the given universe."""
-    index = {s: i for i, s in enumerate(node_ids)}
-    codes = np.full(len(node_ids), -1, dtype=np.int64)
-    label_codes: dict[str, int] = {}
+def _partition_fault(path, index: dict[str, int]) -> None:
+    """Raise at the first bad or repeated assignment line, else name the
+    unknown ids."""
+    seen: set[str] = set()
     unknown: list[str] = []
-    for lineno, (node, label) in _fields(path, _read_lines(path), "assignment", "id community"):
+    for lineno, (node, _) in _numbered_rows(path, "assignment", "id community"):
         if node not in index:
             unknown.append(node)
             continue
-        if codes[index[node]] != -1:
+        if node in seen:
             raise DataError(f"{path}:{lineno}: duplicate assignment for id {node!r}")
-        codes[index[node]] = label_codes.setdefault(label, len(label_codes))
+        seen.add(node)
     _check_known(path, "assignment ids", unknown)
+
+
+def load_partition(path, node_ids: list[str]) -> Partition:
+    """Read an 'id community' file covering exactly the given universe."""
+    index = {s: i for i, s in enumerate(node_ids)}
+    fault = _faulter(_partition_fault, path, index)
+    at, labels = [], []
+    for node_col, label_col in _columns(_data_text(path), 2, fault):
+        at.append(_positions(index, node_col, fault))
+        labels += label_col
+    at = np.concatenate(at) if at else np.empty(0, np.int64)
+    if np.bincount(at, minlength=len(node_ids)).max(initial=0) > 1:
+        fault()
+    codes = np.full(len(node_ids), -1, dtype=np.int64)
+    codes[at] = _codes(labels)
     if (codes == -1).any():
         missing = [node_ids[i] for i in np.flatnonzero(codes == -1)]
         raise DataError(f"{path}: nodes without an assignment: {_listed(missing)}")
@@ -515,7 +627,7 @@ def load_cora_content(content_path, cites_path) -> tuple[Path, Path, Path]:
     known: set[str] = set()
     attr_lines: list[str] = []
     label_lines: list[str] = []
-    for lineno, text in _read_lines(content):
+    for lineno, text in _numbered_lines(content):
         row = text.split()
         if len(row) < 3:
             raise DataError(f"{content}:{lineno}: content lines need id, features, class")
@@ -527,7 +639,7 @@ def load_cora_content(content_path, cites_path) -> tuple[Path, Path, Path]:
         known.add(node)
         attr_lines.append(f"{node},{values}\n")
         label_lines.append(f"{node}\t{label}\n")
-    cite_rows = _fields(cites, _read_lines(cites), "cite", "cited citing")
+    cite_rows = _numbered_rows(cites, "cite", "cited citing")
     edge_lines = [f"{u}\t{v}\n" for _, (u, v) in cite_rows if u in known and v in known]
     paths = (out / "edges.tsv", out / "attrs.csv", out / "labels.tsv")
     _write_text(paths[0], "".join(edge_lines))

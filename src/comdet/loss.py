@@ -36,6 +36,8 @@ def pairwise_loss(terms: list[tuple[PairwiseTarget, float]], x_e: np.ndarray, *,
     in factored form. ``||X^T X||^2`` and ``X X^T X`` are computed once and go as
     ``shared`` to the call that adds the other terms, so each term is one call
     (bench/tracing.py counts them). One term of weight 1.0 comes back exactly.
+    Each term's gradient is built in place, so a call of ``t`` terms holds
+    ``t + 1`` n x d arrays: ``X X^T X`` and one gradient per term.
     """
     (target, weight), *rest = terms
     x = np.asarray(x_e, dtype=np.float64)
@@ -48,8 +50,13 @@ def pairwise_loss(terms: list[tuple[PairwiseTarget, float]], x_e: np.ndarray, *,
     n = target.n
     m = target.onehot.T @ x          # k x d community row sums
     value = weight * ((target.gram_norm_sq - 2.0 * float(np.sum(m * m)) + g_norm_sq) / (n * n))
-    grad = weight * ((4.0 / (n * n)) * (xg - target.onehot @ m))
+    # weight * ((4 / n²) * (xg - S m)), built in the S m buffer in that order
+    grad = target.onehot @ m
+    np.subtract(xg, grad, out=grad)
+    grad *= 4.0 / (n * n)
+    grad *= weight
     if rest:
         rest_value, rest_grad = pairwise_loss(rest, x, shared=shared)
-        value, grad = value + rest_value, grad + rest_grad
+        value += rest_value
+        grad += rest_grad
     return value, grad

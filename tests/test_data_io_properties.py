@@ -1,13 +1,18 @@
-"""Differential property tests of the label, edge, dense CSV and triplet readers.
+"""Differential property tests of the label, edge, dense CSV, triplet and
+assignment readers.
 
-Generated bundles carry comments, blank lines, indented lines, rows out of
-label order and odd but valid value spellings. Each is written, loaded, and
+Generated bundles carry whitespace around lines, rows out of label order
+and odd but valid value spellings; most files also carry comments and blank
+lines, and the rest are clean, so the readers take the text as read. Each is written, loaded, and
 compared array by array with ``reference_load``, a small pure-Python reader
 that reads one line at a time. Corrupted copies must fail with the message
 the reference gives: a fault in one line names that line's ``file:line``,
 and of two faults the one the line-by-line reader meets first is reported.
-Triplet files, repeated cells included, must load as a last-value-wins
-reference reads them, and as the dense CSV file of the same matrix loads.
+Triplet files, repeated cells included, must load as the reference reads
+them (the last value wins, and a non-finite value is refused even when a
+later line overwrites it), and as the dense CSV file of the same matrix
+loads. Assignment files must load, or be refused, as ``reference_partition``
+reads them.
 
 Skipped when hypothesis is not installed; runs under the ``tier1`` profile
 of conftest.py with a small example budget.
@@ -28,7 +33,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from comdet import data_io
-from comdet.data_io import DataError, load_dataset
+from comdet.data_io import DataError, load_dataset, load_partition
 
 
 class Rejected(Exception):
@@ -81,9 +86,19 @@ def reference_load(edge_path, attr_path, label_path):
     loops = sum(u == v for u, v in pairs)
     edges = sorted({(u, v) for u, v in pairs if u != v})
 
+    attr_lines = _data_lines(attr_path)
+    if any("," in text for _, text in attr_lines):
+        rows = _reference_csv(attr_path, attr_lines, ids)
+    else:
+        rows = _reference_triplets(attr_path, attr_lines, ids)
+    duplicates = len(pairs) - loops - len(edges)
+    return ids, codes, edges, loops, duplicates, rows
+
+
+def _reference_csv(attr_path, attr_lines, ids) -> list[list[float]]:
     rows: dict[str, list[float]] = {}
     unknown, width = [], None
-    for k, text in _data_lines(attr_path):
+    for k, text in attr_lines:
         head, comma, rest = text.partition(",")
         node = head.strip()
         if node not in ids:
@@ -111,27 +126,85 @@ def reference_load(edge_path, attr_path, label_path):
         raise Rejected(f"{attr_path}: nodes without any attribute row: {_listed(missing)}")
     if not all(math.isfinite(v) for row in rows.values() for v in row):
         raise Rejected(f"{attr_path}: attribute matrix contains non-finite values")
-    duplicates = len(pairs) - loops - len(edges)
-    return ids, codes, edges, loops, duplicates, [rows[node] for node in ids]
+    return [rows[node] for node in ids]
+
+
+def _reference_triplets(attr_path, attr_lines, ids) -> list[list[float]]:
+    cells: dict[tuple[str, int], float] = {}
+    unknown, values = [], []
+    for k, text in attr_lines:
+        row = _split(attr_path, k, text, "sparse attribute", "id index value")
+        if row[0] not in ids:
+            unknown.append(row[0])
+            continue
+        try:
+            j, v = int(row[1]), float(row[2])
+        except ValueError as exc:
+            raise Rejected(f"{attr_path}:{k}: bad triplet {row!r} ({exc})") from None
+        if j < 0:
+            raise Rejected(f"{attr_path}:{k}: negative attribute index in {row!r}")
+        cells[row[0], j] = v  # a later line overwrites an earlier one
+        values.append(v)
+    if unknown:
+        raise Rejected(
+            f"{attr_path}: attribute ids missing from the label file: {_listed(unknown)}")
+    if not cells:
+        raise Rejected(f"{attr_path}: no attribute entries found")
+    missing = [node for node in ids if not any(key[0] == node for key in cells)]
+    if missing:
+        raise Rejected(f"{attr_path}: nodes without any attribute row: {_listed(missing)}")
+    # every value given, overwritten or not
+    if not all(math.isfinite(v) for v in values):
+        raise Rejected(f"{attr_path}: attribute matrix contains non-finite values")
+    t = 1 + max(j for _, j in cells)
+    return [[cells.get((node, j), 0.0) for j in range(t)] for node in ids]
+
+
+def reference_partition(path, ids: list[str]) -> list[int]:
+    """Community codes, in first-occurrence order, of an assignment file
+    over the universe ``ids``."""
+    codes: dict[str, int] = {}
+    label_code: dict[str, int] = {}
+    unknown = []
+    for k, text in _data_lines(path):
+        node, label = _split(path, k, text, "assignment", "id community")
+        if node not in ids:
+            unknown.append(node)
+            continue
+        if node in codes:
+            raise Rejected(f"{path}:{k}: duplicate assignment for id {node!r}")
+        codes[node] = label_code.setdefault(label, len(label_code))
+    if unknown:
+        raise Rejected(f"{path}: assignment ids missing from the label file: {_listed(unknown)}")
+    missing = [node for node in ids if node not in codes]
+    if missing:
+        raise Rejected(f"{path}: nodes without an assignment: {_listed(missing)}")
+    return [codes[node] for node in ids]
 
 
 _IDS = ["a", "b7", "node_3", "α", "x.y", "-3", "Q", "p#1"]
-# spellings float() reads; loadtxt refuses 1_0 and the non-ASCII digit
+# spellings float() reads besides plain decimals: underscores, padding, a
+# non-ASCII digit
 _ODD = ["1_0", " +1.5 ", ".5", "1.", "-0.0", "1E3", "٣", " 2", "0", "1.0"]
 _CELLS = st.one_of(st.sampled_from(_ODD), st.floats(allow_nan=False, allow_infinity=False).map(repr))
-# spellings float() refuses; of these loadtxt reads only \x1f1, as 1
+# spellings float() refuses
 _BAD = ["x", "1.2.3", "1__0", "nan(1)", "0x10", "", " ", "1 2", "\x1f1"]
 _NOISE = ["", "   ", "# a comment, with a comma", "  # indented comment"]
+# whitespace around a line; str.strip drops \x1f, but float() refuses it
+_PAD = ["", " ", "\t", "\xa0", "\x1f"]
 
 
 @st.composite
 def _noisy(draw, lines: list[str]) -> list[str]:
-    """``lines`` in order, some indented, with comments and blank lines between."""
+    """``lines`` in order, some with whitespace around them, and unless the
+    file is drawn clean, with comments and blank lines between."""
+    noise = st.lists(st.sampled_from(_NOISE), max_size=draw(st.sampled_from([0, 2, 2])))
+    pad = st.sampled_from(draw(st.sampled_from([_PAD, _PAD[:-1]])))  # with \x1f or not
     out = []
     for line in lines:
-        out += draw(st.lists(st.sampled_from(_NOISE), max_size=2))
-        out.append(draw(st.sampled_from(["", " ", "\t"])) + line)
-    return out + draw(st.lists(st.sampled_from(_NOISE), max_size=1))
+        out += draw(noise)
+        out.append(draw(pad) + line + draw(pad))
+    return out + draw(noise)
 
 
 @st.composite
@@ -163,7 +236,7 @@ def _data_index(lines: list[str]) -> list[int]:
 def _fault(draw, files: dict[str, list[str]]) -> tuple[str, int | None]:
     """Corrupt one line of ``files`` in place; returns the file and the line
     number an error about it names (None for a whole-file error)."""
-    kind = draw(st.sampled_from(["bad value", "loadtxt-only value", "width", "no values",
+    kind = draw(st.sampled_from(["bad value", "x1f value", "width", "no values",
                                  "unknown id", "duplicate id", "non-finite", "label width",
                                  "label duplicate", "edge width", "edge unknown"]))
     key = {"label": "l", "edge": "e"}.get(kind.split()[0], "x")
@@ -189,7 +262,7 @@ def _fault(draw, files: dict[str, list[str]]) -> tuple[str, int | None]:
     parts = lines[k].split(",")
     if kind == "bad value":
         parts[draw(st.integers(1, len(parts) - 1))] = draw(st.sampled_from(_BAD))
-    elif kind == "loadtxt-only value":
+    elif kind == "x1f value":  # whitespace to str.split, not to float()
         parts[draw(st.integers(1, len(parts) - 1))] = "\x1f1"
     elif kind == "width":
         if len(parts) > 2 and draw(st.booleans()):
@@ -225,7 +298,7 @@ def _outcome(paths, block_cells: int):
         expected = reference_load(paths["e"], paths["x"], paths["l"])
     except Rejected as exc:
         expected = str(exc)
-    # small blocks put block edges, and loadtxt refusals, between rows
+    # small blocks put block edges between rows, so a fault may sit in any block
     with mock.patch.object(data_io, "_BLOCK_CELLS", block_cells):
         try:
             return load_dataset(paths["e"], paths["x"], paths["l"]), expected
@@ -277,6 +350,31 @@ def test_of_two_faults_the_first_met_line_by_line_is_reported(data, block_cells)
     assert message == expected
 
 
+def _arrays(outcome):
+    """A load's message, or its ids and its label, graph and CSR arrays."""
+    if isinstance(outcome, str):
+        return outcome
+    g, x = outcome.graph, outcome.attributes
+    return (outcome.node_ids, x.shape, *(a.tobytes() for a in (
+        outcome.labels.assignment, g.edge_u, g.edge_v, x.indptr, x.indices, x.data)))
+
+
+@settings(settings.get_profile("tier1"), max_examples=40)
+@given(st.data(), _BLOCK)
+def test_text_read_as_is_loads_as_its_normalized_lines(data, block_cells):
+    # a file with no comment, blank line, \x1f or line break other than \n
+    # is parsed as read; normalizing every file first must change nothing
+    files = data.draw(bundles())
+    if data.draw(st.booleans()):
+        data.draw(_fault(files))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _write(tmp, files)
+        as_read, _ = _outcome(paths, block_cells)
+        with mock.patch.object(data_io, "_IRREGULAR", "\n"):  # every file normalized
+            normalized, _ = _outcome(paths, block_cells)
+    assert _arrays(as_read) == _arrays(normalized)
+
+
 # value spellings with no whitespace inside, so a triplet line splits in three
 _TRIPLET_CELLS = st.one_of(st.sampled_from([c.strip() for c in _ODD]),
                            st.floats(allow_nan=False, allow_infinity=False).map(repr))
@@ -311,8 +409,8 @@ def _load_attrs(tmp, ids: list[str], attr_lines: list[str], block_cells: int = 2
 
 
 @settings(settings.get_profile("tier1"), max_examples=60)
-@given(st.data())
-def test_repeated_triplets_keep_the_last_value(data):
+@given(st.data(), _BLOCK)
+def test_repeated_triplets_keep_the_last_value(data, block_cells):
     ids = data.draw(st.permutations(_IDS))[:data.draw(st.integers(1, len(_IDS)))]
     n = len(ids)
     # few columns, so many lines land on one (id, index) cell
@@ -323,15 +421,20 @@ def test_repeated_triplets_keep_the_last_value(data):
     rows += [(i, 0, "0") for i in range(n) if i not in present]  # every node appears
     order = data.draw(st.permutations(range(len(rows))))
     rows = [rows[k] for k in order]
-    lines = data.draw(_noisy([f"{ids[i]} {j} {v}" for i, j, v in rows]))
-
-    expected = np.zeros((n, 1 + max(j for _, j, _ in rows)))
-    for i, j, v in rows:  # file order: a later line overwrites an earlier one
-        expected[i, j] = float(v)
+    if data.draw(st.booleans()):  # a non-finite value that a later line overwrites
+        k = data.draw(st.integers(0, len(rows) - 1))
+        i, j, _ = rows[k]
+        rows.insert(k, (i, j, data.draw(st.sampled_from(["nan", "inf", "-inf"]))))
+    files = {"l": [f"{node} 0" for node in ids], "e": [],
+             "x": data.draw(_noisy([f"{ids[i]} {j} {v}" for i, j, v in rows]))}
     with tempfile.TemporaryDirectory() as tmp:
-        x = _load_attrs(tmp, ids, lines)
+        bundle, expected = _outcome(_write(tmp, files), block_cells)
+    if isinstance(expected, str):
+        assert bundle == expected
+        return
+    x = bundle.attributes
     assert x.has_canonical_format and np.all(x.data != 0)
-    assert np.array_equal(x.toarray(), expected)
+    assert np.array_equal(x.toarray(), np.array(expected[-1]))
 
 
 @settings(settings.get_profile("tier1"), max_examples=60)
@@ -355,3 +458,49 @@ def test_csv_and_triplet_files_of_one_matrix_load_equal(matrix, data, block_cell
     for name in ("data", "indices", "indptr"):
         a, b = getattr(from_csv, name), getattr(from_triplets, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def _assignments(draw) -> tuple[list[str], list[str]]:
+    """A universe of ids and the lines of an assignment file over it: each id
+    once in any order, then maybe a missing id, a repeated or unknown id, or
+    a line of another width."""
+    ids = draw(st.permutations(_IDS))[:draw(st.integers(1, len(_IDS)))]
+    order = draw(st.permutations(ids))
+    labels = st.sampled_from(["c0", "c1", "7", "p#1"])
+    gap = st.sampled_from([" ", "\t", "  "])
+    lines = [f"{node}{draw(gap)}{draw(labels)}" for node in order]
+    for fault in draw(st.lists(st.sampled_from(["missing", "repeated", "unknown", "width"]),
+                               max_size=2)):
+        k = draw(st.integers(0, len(lines) - 1))
+        node = lines[k].split()[0]
+        if fault == "missing":
+            del lines[k]
+        elif fault == "repeated":
+            lines.insert(draw(st.integers(k + 1, len(lines))), f"{node} {draw(labels)}")
+        elif fault == "unknown":
+            lines.insert(k, f"ghost {draw(labels)}")
+        else:
+            lines[k] = draw(st.sampled_from([node, f"{node} c0 extra"]))
+        if not lines:
+            break
+    return ids, draw(_noisy(lines))
+
+
+@settings(settings.get_profile("tier1"), max_examples=60)
+@given(_assignments(), _BLOCK)
+def test_assignment_files_load_as_the_reference_reads_them(assignment, block_cells):
+    ids, lines = assignment
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "assignment.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        try:
+            expected = reference_partition(path, ids)
+        except Rejected as exc:
+            expected = str(exc)
+        with mock.patch.object(data_io, "_BLOCK_CELLS", block_cells):
+            try:
+                loaded = load_partition(path, ids).assignment.tolist()
+            except DataError as exc:
+                loaded = str(exc)
+    assert loaded == expected

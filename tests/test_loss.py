@@ -8,7 +8,7 @@ import pytest
 from comdet.graph import Partition
 from comdet.loss import PairwiseTarget, pairwise_loss
 
-from conftest import random_partition
+from conftest import random_partition, traced_peak
 
 
 def _dense_oracle(target: PairwiseTarget, x: np.ndarray):
@@ -114,3 +114,16 @@ def test_shape_validation():
         pairwise_loss([(target, 1.0)], np.zeros((4, 2)))
     with pytest.raises(ValueError):
         PairwiseTarget(Partition([]))
+
+
+def test_two_term_call_holds_three_embedding_sized_arrays():
+    # X X^T X and one gradient per term: 3 n x d arrays (15.4 MB here); a
+    # fourth, such as a scaled copy of a gradient, would pass 3.5
+    rng = np.random.default_rng(89)
+    n, d = 10_000, 64
+    x = rng.normal(size=(n, d))
+    terms = [(PairwiseTarget(random_partition(rng, n, 40)), 1.0),
+             (PairwiseTarget(random_partition(rng, n, 7)), 0.3)]
+    (value, grad), peak = traced_peak(lambda: pairwise_loss(terms, x))
+    assert peak < 3.5 * n * d * 8
+    assert grad.shape == (n, d) and np.isfinite(value)
