@@ -8,10 +8,19 @@ into its components after every pass, and the loop stops only when an entire
 pass changes nothing. Move gains are compared in exact integer arithmetic
 (gain scaled by 4*m^2 is an integer on integer-weighted graphs), so runs are
 bit-deterministic for a given seed.
+
+Two shortcuts keep every decision and every draw of the generator while
+skipping Python work. Local moving asks :func:`_movers`, an int64 numpy
+check of all nodes at once, which nodes would move, and does not attempt the
+ones before the first of them; a check that finds none certifies the
+fixpoint without a sweep. A refinement draw (:func:`_draw`) places its
+uniform in a cumulative sum built in plain Python and falls back to numpy's
+steps only when rounding could put it on the other side of a boundary.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from collections import deque
@@ -47,7 +56,8 @@ class _LevelGraph:
     lists for the scalar loops of local moving and refinement, which share
     ``scratch``: one zeroed entry per node or community id, where a loop
     sums a node's edge weight per neighbouring community and zeroes it
-    again before moving on.
+    again before moving on. ``k`` is ``strength`` as an array, for the
+    vectorized :func:`_movers`.
     """
 
     def __init__(self, src: np.ndarray, dst: np.ndarray, w: np.ndarray,
@@ -55,6 +65,7 @@ class _LevelGraph:
         self.n = int(strength.size)
         self.src, self.dst, self.w = src, dst, w
         self.strength = strength.tolist()
+        self.k = strength
         self.two_m = two_m
         bounds = np.searchsorted(src, np.arange(self.n + 1)).tolist()
         dst_l, w_l = dst.tolist(), w.tolist()
@@ -66,6 +77,43 @@ class _LevelGraph:
     def from_graph(cls, g: Graph) -> "_LevelGraph":
         src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
         return cls(src, g.indices, np.ones_like(g.indices), g.degrees, 2 * g.m)
+
+
+def _movers(lg: _LevelGraph, comm: list[int], sigma_tot: list[int]) -> np.ndarray | None:
+    """Mask of the nodes that an attempt of :func:`_local_move` would move.
+
+    Applies the attempt's rule to every node at once, in the same integers:
+    node ``v`` of community ``c`` moves when some other neighbouring
+    community gains strictly more than staying, or when staying gains less
+    than 0 while ``sigma_tot[c] - k_v > 0`` (it then leaves for a fresh
+    singleton). Edge weights are summed per (node, community) pair over the
+    edges sorted by that pair; a stable sort is cheap here, since the edges
+    come sorted by node and mostly meet one community per node. ``None``
+    when ``two_m >= 2**31``, where ``two_m**2`` and so the scaled gains
+    could overflow int64.
+    """
+    n, two_m = lg.n, lg.two_m
+    if two_m >= 2**31:
+        return None
+    c = np.asarray(comm, dtype=np.int64)
+    sigma = np.asarray(sigma_tot, dtype=np.int64)
+    k = lg.k
+    pair = lg.src * n + c[lg.dst]
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    starts = np.flatnonzero(np.diff(pair, prepend=-1))
+    v, to = np.divmod(pair[starts], n)
+    w = np.add.reduceat(lg.w[order], starts)
+    rest = sigma[c] - k  # sigma_tot of the node's community without it
+    stay = -rest * k
+    own = to == c[v]
+    stay[v[own]] += w[own] * two_m
+    # the own community scores k_v**2 below staying, and every node with an
+    # edge has k_v >= 1, so only other communities can beat staying
+    better = w * two_m - sigma[to] * k[v] > stay[v]
+    movers = (stay < 0) & (rest > 0)
+    movers[v[better]] = True
+    return movers
 
 
 def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> None:
@@ -83,6 +131,13 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> N
     changes sigma_tot of two communities, which can flip the best choice of
     nodes that are not adjacent to the mover, so queue exhaustion alone does
     not certify the fixpoint.
+
+    Until the first move of the queue, and before each sweep, :func:`_movers`
+    checks every node at once. The queue's leading nodes and the sweep's
+    nodes before the first one that would move are not attempted, since
+    each such attempt would write nothing; when no node would move, the
+    fixpoint is certified and the call returns. The queue's permutation is
+    drawn first all the same, so the generator's stream does not change.
     """
     n = lg.n
     two_m = lg.two_m
@@ -97,8 +152,23 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> N
         sigma_tot[comm[v]] += strength[v]
     free = list(range(n - 1, k - 1, -1))  # pop() hands out unused labels ascending
 
-    queue = deque(rng.permutation(n).tolist())
+    def first_mover(order: np.ndarray | None = None) -> int | None:
+        """Position in ``order`` (default: by id) of the first node that
+        would move, 0 when that cannot be checked, ``None`` when none would."""
+        movers = _movers(lg, comm, sigma_tot)
+        if movers is None:
+            return 0
+        hits = np.flatnonzero(movers if order is None else movers[order])
+        return int(hits[0]) if hits.size else None
+
+    order = rng.permutation(n)
+    start = first_mover(order)
+    if start is None:
+        return
+    queue = deque(order[start:].tolist())
     in_queue = [True] * n
+    for v in order[:start].tolist():
+        in_queue[v] = False
 
     def attempt(v: int) -> bool:
         cv = comm[v]
@@ -138,28 +208,80 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> N
             v = queue.popleft()
             in_queue[v] = False
             attempt(v)
+        start = first_mover()
+        if start is None:
+            return
         improved = False
-        for v in range(n):
+        for v in range(start, n):
             if attempt(v):
                 improved = True
         if not improved:  # a sweep that moved nothing enqueued nothing
             return
 
 
+_DRAW_SLACK = 8 * 2.0**-53  # _draw's rounding bound is _DRAW_SLACK * (k + 4) for k candidates
+
+
 def _draw(gains: list[float], theta: float, rng: np.random.Generator) -> int:
     """Index drawn with probability proportional to exp(gain / theta).
 
-    Runs the steps of ``rng.choice(len(gains), p=p / p.sum())`` without its
-    argument checks: normalise, cumulative sum rescaled to end at 1, then
-    one ``rng.random()`` placed with ``searchsorted``. Index and generator
-    state match ``choice`` bit for bit.
+    Gives the index and generator state of ``rng.choice(len(gains),
+    p=p / p.sum())`` bit for bit: one ``rng.random()`` value ``u`` is placed
+    among the normalized cumulative weights. Those weights are built here in
+    Python (``math.exp``, then a running sum, each divided by the total),
+    and the index is returned when ``u`` lies more than
+    ``8 * (k + 4) * 2**-53`` from every boundary, for ``k`` candidates.
+    Otherwise :func:`_numpy_draw` places the same ``u`` by numpy's steps.
+
+    Why the bound holds. Let ``e_j = exp(x_j)`` for the exact shifted logits
+    ``x_j <= 0`` (both paths compute them identically, and the largest is 1)
+    and ``R_i = P_i / P_k`` with ``P_i = e_1 + ... + e_i``. With unit
+    roundoff ``u0 = 2**-53``, and allowing either library's ``exp`` an
+    error of 4 ulp (8 u0 relative):
+
+    - numpy scales each weight by ``1 / sum`` (one rounding each), sums
+      them in order (``cumsum``; relative error at most ``(i - 1) u0`` at
+      prefix ``i``), and divides by the last prefix (one rounding). The
+      scale cancels in the ratio, so its boundary ``B_i`` is within
+      ``R_i (2 * (8 + 1) + (i - 1) + (k - 1) + 1) u0`` of ``R_i``;
+    - the Python boundary ``b_i`` skips the scaling and is within
+      ``R_i (2 * 8 + (i - 1) + (k - 1) + 1) u0``.
+
+    With ``R_i <= 1`` and ``i <= k`` that gives
+    ``|B_i - b_i| <= (4k + 32) u0 <= 8 (k + 4) u0``, up to terms of order
+    ``k**2 u0**2``. Weights that underflow to subnormals break the
+    relative bounds but add at most ``k * 2**-1074`` in absolute terms,
+    far inside the slack. So when ``u`` is farther than the bound from
+    ``b_i``, it lies on the same side of ``B_i``, and ``searchsorted``
+    counts the same boundaries; the boundaries ascend, so checking the two
+    around ``u`` suffices.
     """
+    u = rng.random()
+    logits = [g / theta for g in gains]
+    top = max(logits)
+    cum = []
+    total = 0.0
+    for x in logits:
+        total += math.exp(x - top)
+        cum.append(total)
+    index = 0  # boundaries at or below u; the last, total / total, is 1 > u
+    while cum[index] / total <= u:
+        index += 1
+    bound = _DRAW_SLACK * (len(gains) + 4)
+    if cum[index] / total - u <= bound or (index and u - cum[index - 1] / total <= bound):
+        return _numpy_draw(gains, theta, u)
+    return index
+
+
+def _numpy_draw(gains: list[float], theta: float, u: float) -> int:
+    """Place ``u`` by the steps of ``Generator.choice``: normalise, cumulative
+    sum rescaled to end at 1, then ``searchsorted``."""
     logits = np.asarray(gains) / theta
     p = np.exp(logits - logits.max())
     p /= p.sum()
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(cdf.searchsorted(u, side="right"))
 
 
 def _refine(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> list[int]:

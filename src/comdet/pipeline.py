@@ -204,7 +204,7 @@ def run(bundle: DatasetBundle, cfg: RunConfig | None = None) -> RunResult:
 
     # stage 4: cluster the final embedding
     def cluster():
-        xe, _ = model.forward(ax0)
+        xe = model.forward(ax0)[0]  # the forward cache is freed before the CF tree
         cs = birch_cluster(xe, cfg.birch)
         if cfg.mode is RunMode.MODIFIED_SPLIT:
             cs = split_into_components(g, cs)

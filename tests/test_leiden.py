@@ -10,7 +10,7 @@ import pytest
 
 from comdet.graph import Graph, Partition, canonical_labels, component_counts
 from comdet.leiden import (LeidenConfig, _aggregate, _draw, _LevelGraph, _local_move,
-                           _refine, best_of_runs, leiden)
+                           _movers, _refine, best_of_runs, leiden)
 from comdet.metrics import modularity
 from comdet.refine import RefineConfig, refine_labels
 
@@ -407,3 +407,185 @@ def test_leiden_builds_level_zero_once_per_call(monkeypatch):
 def test_leiden_config_rejects_invalid_values(kwargs, value):
     with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be .* got {value}"):
         LeidenConfig(**kwargs)
+
+
+def node_gains(lg: _LevelGraph, comm: list[int], sigma_tot: list[int],
+               v: int) -> tuple[int, int, list[int]]:
+    """Node ``v``'s gain for staying, scaled by ``two_m**2`` as in the
+    local-move attempt, the weight of its community without it, and the
+    scaled gain of joining each other neighbouring community."""
+    cv, kv = comm[v], lg.strength[v]
+    per: dict[int, int] = {}
+    for u, w in zip(lg.nbrs[v], lg.ws[v]):
+        per[comm[u]] = per.get(comm[u], 0) + w
+    rest = sigma_tot[cv] - kv
+    stay = per.get(cv, 0) * lg.two_m - rest * kv
+    return stay, rest, [w * lg.two_m - sigma_tot[c] * kv for c, w in per.items() if c != cv]
+
+
+def movers_oracle(lg: _LevelGraph, comm: list[int], sigma_tot: list[int]) -> list[bool]:
+    """The local-move attempt's rule, one node at a time, in Python integers:
+    a node moves when another neighbouring community gains strictly more than
+    staying, or when staying gains < 0 and its community holds other weight."""
+    out = []
+    for v in range(lg.n):
+        stay, rest, gains = node_gains(lg, comm, sigma_tot, v)
+        out.append(any(g > stay for g in gains) or (stay < 0 and rest > 0))
+    return out
+
+
+def _sigma_tot(lg: _LevelGraph, comm: list[int]) -> list[int]:
+    sigma = [0] * lg.n
+    for v, c in enumerate(comm):
+        sigma[c] += lg.strength[v]
+    return sigma
+
+
+def test_movers_match_the_attempt_rule():
+    """``_movers`` flags exactly the nodes the oracle says would move, at
+    level 0, at levels made by ``_aggregate`` (weights and strengths above
+    1) and with weight inside nodes, under singletons and under community
+    ids with gaps. The examples include ties with staying and nodes that
+    move only because staying loses, and the test checks that they do."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 14))
+        node = st.integers(0, n - 1)
+        lg = _LevelGraph.from_graph(Graph(n, draw(st.lists(st.tuples(node, node),
+                                                           max_size=3 * n))))
+        level = draw(st.sampled_from(["level 0", "aggregated", "inner weight"]))
+        if level == "aggregated":
+            groups = draw(st.lists(st.integers(0, draw(st.integers(0, n - 1))),
+                                   min_size=n, max_size=n))
+            lg, _ = _aggregate(lg, canonical_labels(np.asarray(groups)), [0] * n)
+        elif level == "inner weight":  # as aggregated nodes carry their inside edges
+            inner = 2 * np.asarray(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+            lg = _LevelGraph(lg.src, lg.dst, lg.w, lg.k + inner, lg.two_m + int(inner.sum()))
+        ids = st.integers(0, draw(st.integers(0, lg.n - 1)))  # few ids make big communities
+        comm = draw(st.one_of(st.just(list(range(lg.n))),
+                              st.lists(ids, min_size=lg.n, max_size=lg.n)))
+        return lg, comm
+
+    seen = {"weighted level": 0, "tie with staying": 0, "only staying loses": 0}
+
+    @hypothesis.settings(hypothesis.settings.get_profile("tier1"), max_examples=300)
+    @hypothesis.given(cases())
+    def check(case):
+        lg, comm = case
+        sigma = _sigma_tot(lg, comm)
+        assert _movers(lg, comm, sigma).tolist() == movers_oracle(lg, comm, sigma)
+        seen["weighted level"] += max(lg.ws, default=[]) > [1]
+        for v in range(lg.n):
+            stay, rest, gains = node_gains(lg, comm, sigma, v)
+            seen["tie with staying"] += stay in gains
+            seen["only staying loses"] += stay < 0 < rest and max(gains, default=stay) <= stay
+
+    check()
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("comm, movers", [
+    ([0, 1, 1, 2, 2], [True, False, False, False, False]),  # two equal gains beat staying
+    ([1, 1, 1, 3, 3], [False] * 5),  # joining 3 gains exactly what staying in 1 does
+    ([0, 1, 2, 3, 4], [True] * 5),  # every singleton has a neighbour worth joining
+    ([4, 4, 4, 4, 4], [False] * 5),  # one community: staying gains >= 0 for all
+])
+def test_movers_on_hand_checked_partitions(comm, movers):
+    """Node 0 hangs by one unit edge from each of two heavy pairs, as in
+    ``test_local_move_breaks_equal_gains_to_the_lowest_id``."""
+    lg = _level_graph(5, [(1, 2, 5), (3, 4, 5), (0, 1, 1), (0, 3, 1)])
+    sigma = _sigma_tot(lg, comm)
+    assert movers_oracle(lg, comm, sigma) == movers
+    assert _movers(lg, comm, sigma).tolist() == movers
+
+
+def test_movers_flag_a_node_that_loses_by_staying():
+    """At an aggregated level a node can carry weight with no edge at all.
+    Sharing a community, it gains < 0 by staying and would leave for a fresh
+    singleton; alone in its community it stays put."""
+    none = np.zeros(0, dtype=np.int64)
+    lg = _LevelGraph(none, none, none, np.asarray([2, 2, 3]), 7)
+    for comm, movers in (([0, 0, 2], [True, True, False]),
+                         ([1, 0, 2], [False] * 3),
+                         ([1, 1, 1], [True] * 3)):
+        sigma = _sigma_tot(lg, comm)
+        assert movers_oracle(lg, comm, sigma) == movers
+        assert _movers(lg, comm, sigma).tolist() == movers
+
+
+def test_local_move_reaches_the_fixpoint_where_gains_could_overflow_int64():
+    """With ``two_m >= 2**31`` ``_movers`` declines, and local moving checks
+    every node in Python integers until none would move."""
+    rng = np.random.default_rng(31)
+    for trial in range(5):
+        g = random_graph(rng, 40, 0.15)
+        edges = [(int(u), int(v), int(rng.integers(2**26, 2**27)))
+                 for u, v in zip(g.edge_u, g.edge_v)]
+        lg = _level_graph(g.n, edges)
+        assert lg.two_m >= 2**31
+        comm = list(range(g.n))
+        assert _movers(lg, comm, _sigma_tot(lg, comm)) is None
+        assert any(movers_oracle(lg, comm, _sigma_tot(lg, comm)))
+        _local_move(lg, comm, np.random.default_rng(trial))
+        assert not any(movers_oracle(lg, comm, _sigma_tot(lg, comm)))
+        assert lg.scratch == [0] * lg.n
+
+
+def test_local_move_ends_at_a_fixpoint_on_aggregated_levels():
+    """After ``_local_move`` no node of a weighted aggregated level would
+    move, by the oracle; the numpy checks that skip attempts never stop it
+    early."""
+    rng = np.random.default_rng(32)
+    for trial in range(20):
+        n = int(rng.integers(5, 80))
+        lg = _LevelGraph.from_graph(random_graph(rng, n, float(rng.uniform(0.05, 0.3))))
+        ref = canonical_labels(rng.integers(0, max(1, n // 2), n))
+        lg, comm = _aggregate(lg, ref, [0] * n)
+        comm = canonical_labels(rng.integers(0, lg.n, lg.n)).tolist()
+        _local_move(lg, comm, rng)
+        assert not any(movers_oracle(lg, comm, _sigma_tot(lg, comm)))
+
+
+class _FixedUniform:
+    """Generator stand-in whose ``random()`` returns one fixed value."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def test_draw_falls_back_to_numpy_at_every_boundary(monkeypatch):
+    """A uniform on a boundary of numpy's cumulative weights, or one ulp to
+    either side, is too close to certify: ``_draw`` places it by numpy's
+    steps, and gets numpy's index, every time."""
+    fallbacks = []
+    numpy_draw = leiden_module._numpy_draw
+    monkeypatch.setattr(leiden_module, "_numpy_draw",
+                        lambda *args: fallbacks.append(args) or numpy_draw(*args))
+    meta = np.random.default_rng(88)
+    calls = 0
+    for trial in range(300):
+        k = int(meta.integers(2, 30))
+        two_m = int(meta.integers(2, 10**5))
+        ints = meta.integers(0, two_m**2, k)
+        if trial % 2:
+            ints = meta.choice(ints[:3], k)  # tied gains, equal boundaries steps
+        gains = [float(x) * (2.0 / float(two_m) ** 2) for x in ints]
+        theta = float(meta.choice([0.01, meta.uniform(1e-4, 1.0)]))
+        logits = np.asarray(gains) / theta
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        for b in cdf[:-1]:
+            for u in {np.nextafter(b, 0.0), b, np.nextafter(b, 1.0)} - {1.0}:
+                want = int(cdf.searchsorted(u, side="right"))
+                assert _draw(gains, theta, _FixedUniform(float(u))) == want
+                calls += 1
+    assert calls > 3000
+    assert len(fallbacks) == calls

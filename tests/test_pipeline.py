@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -369,3 +370,35 @@ def test_run_propagates_the_attributes_once(monkeypatch):
     bundle = generate_synthetic(SyntheticSpec(n=40, k=2, p_in=0.5, p_out=0.05, t=4, seed=16))
     run(bundle, _small_cfg(epochs=5))
     assert len(calls) == 1 and calls[0] is bundle.attributes
+
+
+def test_cluster_stage_frees_the_forward_cache_before_birch(monkeypatch):
+    """The final forward's cache (one n×d array per layer and head entry) is
+    gone by the time the CF tree runs, so it adds nothing to that stage's
+    memory."""
+
+    class Cache(dict):  # a plain dict takes no weak reference
+        pass
+
+    caches = []
+    forward = GcnModel.forward
+
+    def tracked(self, ax0):
+        xe, cache = forward(self, ax0)
+        cache = Cache(cache)
+        caches.append(weakref.ref(cache))
+        return xe, cache
+
+    alive = []
+    birch_cluster = pipeline.birch_cluster
+
+    def clustered(xe, config):
+        alive.append(caches[-1]() is not None)
+        return birch_cluster(xe, config)
+
+    monkeypatch.setattr(GcnModel, "forward", tracked)
+    monkeypatch.setattr(pipeline, "birch_cluster", clustered)
+    bundle = generate_synthetic(SyntheticSpec(n=40, k=2, p_in=0.5, p_out=0.05, t=4, seed=16))
+    run(bundle, _small_cfg(epochs=3))
+    assert len(caches) == 4  # three epochs, then the embedding that is clustered
+    assert alive == [False]
