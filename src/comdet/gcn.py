@@ -15,10 +15,14 @@ the dense n×T product Â·X, which can move the loss in its last bits.
 
 An epoch holds one forward cache and a few n×d buffers beside it. ``forward``
 fills the cache for one ``backward``, which consumes it: each entry is dropped
-once its gradient step has read it. SELU, its derivative, the output head
-and Adam's update work in place, in the same operation order, so every value
-keeps its bits. ``training_bytes`` is the budget for the cache and the
-weight-sized state.
+once its gradient step has read it. The output head works in place.
+SELU, its derivative (times the upstream gradient) and Adam's update each
+run as one chain of elementwise operations over blocks of about
+``_BLOCK_CELLS`` cells, so a block's intermediates stay in L2 cache, and
+none uses a masked copy. Each chain is exact: every value has the bits of
+the plain whole-array form (``selu`` and ``selu_grad`` give the argument;
+Adam keeps its operation order). ``training_bytes`` is the budget for the
+cache and the weight-sized state.
 """
 
 from __future__ import annotations
@@ -46,28 +50,78 @@ ADAM_EPS = 1e-8
 # (nnz(X) + nnz(Â))·h multiply-adds, wins below roughly 8% density
 _SPARSE_COST = 12
 
+# cells per block of an elementwise chain (SELU, its derivative, Adam), so
+# that a block's temporaries stay in L2 cache between the chain's operations
+_BLOCK_CELLS = 2 ** 15
+
 _MAGIC = b"CDGC"
 _VERSION = 1
 
 
+def _blocks(a: np.ndarray):
+    """``(rows, tmp)`` for each block of about ``_BLOCK_CELLS`` cells of ``a``
+    (at least 1-d): a slice of its first axis, which is a view whatever the
+    strides, and a scratch array of the block's shape."""
+    step = max(1, _BLOCK_CELLS // max(1, a[:1].size))
+    tmp = np.empty((min(step, len(a)), *a.shape[1:]), dtype=a.dtype)
+    for start in range(0, len(a), step):
+        yield slice(start, start + step), tmp[:len(a) - start]
+
+
 def selu(z: np.ndarray) -> np.ndarray:
-    """λ·(z if z > 0 else α·expm1(z)), built in one new buffer."""
-    h = np.expm1(z, out=np.empty_like(z))
-    h *= SELU_ALPHA
-    np.copyto(h, z, where=z > 0)
-    h *= SELU_LAMBDA
+    """λ·(z if z > 0 else α·expm1(z)), built in one new buffer.
+
+    Computed block by block, with no mask, as
+    copysign(λ·(α·expm1(min(z, 0)) + max(z, 0)), z), which has the same
+    bits: for z > 0, α·expm1(0) = 0 and 0 + z = z; for z < 0, adding
+    max(z, 0) = +0 leaves the nonzero α·expm1(z) as it is; for z = ±0,
+    ``copysign`` restores z's sign, which the sum of two zeros can lose.
+    """
+    h = np.empty_like(z)
+    zs, hs = np.atleast_1d(z, h)
+    for rows, tmp in _blocks(zs):
+        zb, hb = zs[rows], hs[rows]
+        np.minimum(zb, 0.0, out=hb)
+        np.expm1(hb, out=hb)
+        hb *= SELU_ALPHA
+        np.maximum(zb, 0.0, out=tmp)
+        hb += tmp
+        hb *= SELU_LAMBDA
+        np.copysign(hb, zb, out=hb)
     return h
 
 
 def selu_grad(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """λ·(1 if z > 0 else α·exp(z)), built in ``out`` (a new buffer by
-    default; ``out=z`` overwrites z)."""
-    positive = z > 0
-    g = np.exp(z, out=np.empty_like(z) if out is None else out)
-    g *= SELU_ALPHA
-    np.copyto(g, 1.0, where=positive)
-    g *= SELU_LAMBDA
-    return g
+    default; ``out=z`` overwrites z).
+
+    Computed block by block, with no masked copy, as
+    λ·(α·exp(min(z, 0)) + (1 − α)·[z > 0]), which has the same bits in
+    float64, the encoder's only dtype: 1 − α is exact and α + (1 − α)
+    rounds to exactly 1 (in float32 it does not), and for z ≤ 0 the added
+    term is −0.0, which changes nothing. The mask stays a comparison of z,
+    since a tiny negative z also gives α·exp(z) = α.
+    """
+    return _selu_grad(z, np.empty_like(z) if out is None else out)
+
+
+def _selu_grad(z: np.ndarray, out: np.ndarray, factor: np.ndarray | None = None
+               ) -> np.ndarray:
+    """``selu_grad(z, out)``, times ``factor`` (of z's shape) if given, in
+    the same pass over each block."""
+    zs, gs = np.atleast_1d(z, out)
+    for rows, tmp in _blocks(zs):
+        zb, gb = zs[rows], gs[rows]
+        np.greater(zb, 0.0, out=tmp)  # before gb, which may be zb, is written
+        tmp *= 1.0 - SELU_ALPHA
+        np.minimum(zb, 0.0, out=gb)
+        np.exp(gb, out=gb)
+        gb *= SELU_ALPHA
+        gb += tmp
+        gb *= SELU_LAMBDA
+        if factor is not None:
+            gb *= factor[rows]
+    return out
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:
@@ -167,10 +221,12 @@ class GcnModel:
         grads: list[np.ndarray] = [None] * len(self.weights)
         for layer in range(len(self.weights) - 1, -1, -1):
             dz = cache["z"].pop()
-            selu_grad(dz, out=dz)  # nothing reads z again
-            dz *= d_h
+            _selu_grad(dz, dz, d_h)  # nothing reads z again
             del d_h
-            grads[layer] = cache["ax"].pop().T @ dz
+            # layer 0's Â·X is a LinearOperator: its rmatmat skips the two
+            # copies that its transpose makes to conjugate dz and the result
+            ah = cache["ax"].pop()
+            grads[layer] = ah.T @ dz if layer else ah.rmatmat(dz)
             if layer:
                 d_h = self.a_norm @ (dz @ self.weights[layer].T)
         return grads
@@ -239,25 +295,31 @@ class AdamState:
 
     def step(self, weights: list[np.ndarray], grads: list[np.ndarray]) -> None:
         """Update ``weights`` in place. Consumes ``grads``: once the moments
-        have read a gradient, its array holds the step, so each weight needs
-        one temporary besides."""
+        have read a gradient, its array holds the step. The operations run in
+        one fixed order on each block of about ``_BLOCK_CELLS`` cells of a
+        weight, its gradient and both moments, with one block-sized
+        temporary."""
         self.t += 1
+        m_scale = 1.0 - ADAM_BETA1 ** self.t
+        v_scale = 1.0 - ADAM_BETA2 ** self.t
         for w, grad, m, v in zip(weights, grads, self.m, self.v, strict=True):
-            tmp = (1.0 - ADAM_BETA1) * grad
-            m *= ADAM_BETA1
-            m += tmp
-            np.square(grad, out=tmp)
-            tmp *= 1.0 - ADAM_BETA2
-            v *= ADAM_BETA2
-            v += tmp
-            # w -= lr · m_hat / (sqrt(v_hat) + eps)
-            np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += ADAM_EPS
-            step = np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=grad)
-            step *= self.lr
-            step /= tmp
-            w -= step
+            for rows, tmp in _blocks(w):
+                wb, g, mb, vb = w[rows], grad[rows], m[rows], v[rows]
+                np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+                mb *= ADAM_BETA1
+                mb += tmp
+                np.square(g, out=tmp)
+                tmp *= 1.0 - ADAM_BETA2
+                vb *= ADAM_BETA2
+                vb += tmp
+                # w -= lr · m_hat / (sqrt(v_hat) + eps)
+                np.divide(vb, v_scale, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += ADAM_EPS
+                step = np.divide(mb, m_scale, out=g)
+                step *= self.lr
+                step /= tmp
+                wb -= step
 
 
 def training_bytes(n: int, in_dim: int, hidden_dims: tuple[int, int, int]) -> int:

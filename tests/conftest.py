@@ -81,6 +81,17 @@ def traced_peak(fn):
     return out, peak
 
 
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    """``a`` and ``b`` hold the same bytes, with equal dtype and shape.
+
+    ``np.array_equal`` is not enough for a bit-for-bit claim: it treats
+    −0.0 as equal to 0.0, and NaN as unequal to itself.
+    """
+    assert a.dtype == b.dtype, (a.dtype, b.dtype)
+    assert a.shape == b.shape, (a.shape, b.shape)
+    assert a.tobytes() == b.tobytes(), "values differ in their bits"
+
+
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     """Erdos-Renyi style graph, edges drawn independently."""
     mask = rng.random((n, n)) < p

@@ -35,6 +35,8 @@ from hypothesis import given, settings, strategies as st
 from comdet import data_io
 from comdet.data_io import DataError, load_dataset, load_partition
 
+from conftest import assert_same_bits
+
 
 class Rejected(Exception):
     """The message the reference reader rejects a bundle with."""
@@ -456,8 +458,7 @@ def test_csv_and_triplet_files_of_one_matrix_load_equal(matrix, data, block_cell
         from_triplets = _load_attrs(tmp, ids, data.draw(_noisy(triplets)))
     assert from_csv.shape == from_triplets.shape == (n, t)
     for name in ("data", "indices", "indptr"):
-        a, b = getattr(from_csv, name), getattr(from_triplets, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert_same_bits(getattr(from_csv, name), getattr(from_triplets, name))
 
 
 @st.composite

@@ -30,7 +30,8 @@ from comdet.gcn import (
 from comdet.graph import Graph, Partition
 from comdet.loss import PairwiseTarget, pairwise_loss
 
-from conftest import random_connected_graph, random_graph, random_partition, traced_peak
+from conftest import (assert_same_bits, random_connected_graph, random_graph, random_partition,
+                      traced_peak)
 
 gcn_module = importlib.import_module("comdet.gcn")
 
@@ -93,8 +94,7 @@ def test_normalized_adjacency_is_bit_equal_to_the_coo_construction():
         got, ref = normalized_adjacency(g), _coo_normalized_adjacency(g)
         assert got.shape == ref.shape
         for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (g, name)
+            assert_same_bits(getattr(got, name), getattr(ref, name))
 
 
 def _scalar_embed(t: float) -> float:
