@@ -41,11 +41,45 @@ __all__ = ["entry", "main"]
 _ENV_OUT = "COMDET_OUT_DIR"
 
 class _Parser(argparse.ArgumentParser):
-    """argparse defaults to exit code 2 on usage errors; the contract says 1."""
+    """argparse defaults to exit code 2 on usage errors; the contract says 1.
+
+    A setting flag (``setting_flags``, added by ``_add_flag``) takes the next
+    word as its value even when it starts with ``-``: argparse alone takes
+    ``--lr -1e-3`` for two flags. So the value reaches the setting's parser,
+    as it does from ``--config``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.setting_flags: set[str] = set()
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def _names_setting(self, word: str) -> bool:
+        """Whether ``word`` is a setting flag, whole or by the unique prefix
+        argparse accepts for it."""
+        if word in self.setting_flags:
+            return True
+        if not word.startswith("--") or "=" in word:
+            return False
+        hits = [flag for action in self._actions for flag in action.option_strings
+                if flag.startswith(word)]
+        return len(hits) == 1 and hits[0] in self.setting_flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        words = list(sys.argv[1:] if args is None else args)
+        joined = []
+        while words:
+            word = words.pop(0)
+            if word == "--":
+                joined += [word, *words]
+                break
+            if words and words[0].startswith("-") and self._names_setting(word):
+                word = f"{word}={words.pop(0)}"
+            joined.append(word)
+        return super().parse_known_args(joined, namespace)
 
 
 def _default_out() -> str:
@@ -60,11 +94,20 @@ def _require_file(path, flag: str) -> Path:
 
 
 def _int(value) -> int:
-    """A whole number from flag text or JSON; bools and fractions are errors."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
+    """A whole number from flag text or JSON: an integer, or a number with no
+    fractional part (``7.0``, ``"7.0"`` or ``"1e3"``) from either; bools,
+    fractions and non-finite numbers are errors."""
     try:
-        return int(value)
+        number = value
+        if isinstance(value, str):
+            try:
+                return int(value)
+            except ValueError:
+                number = float(value)
+        if isinstance(number, bool) or (isinstance(number, float)
+                                        and not number.is_integer()):
+            raise ValueError
+        return int(number)
     except (TypeError, ValueError):
         raise ValueError(f"expected an integer, got {value!r}") from None
 
@@ -74,6 +117,14 @@ def _float(value) -> float:
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def _mode(value) -> RunMode:
+    try:
+        return RunMode(value)
+    except ValueError:
+        raise ValueError(f"expected one of {', '.join(m.value for m in RunMode)}, "
+                         f"got {value!r}") from None
 
 
 def _dims(value) -> tuple[int, ...]:
@@ -100,7 +151,7 @@ _SETTINGS = {
     "birch_threshold": (BirchConfig, "threshold_radius", _float, "CF absorb radius"),
     "branching_factor": (BirchConfig, "branching_factor", _int, "CF-tree fanout"),
     "seed": (RunConfig, "seed", _int, "master seed"),
-    "mode": (RunConfig, "mode", RunMode, "pipeline variant"),
+    "mode": (RunConfig, "mode", _mode, "pipeline variant"),
     "parallel_runs": (RunConfig, "parallel_runs", _int,
                       "processes for independent Leiden repeats"),
 }
@@ -278,20 +329,21 @@ def _add_bundle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--name", help="network name (controls the default mu)")
 
 
-def _add_flag(p: argparse.ArgumentParser, flag: str, default, text: str = "",
-              **kwargs) -> None:
-    """A setting flag with no argparse type or default: its help shows the
-    dataclass default, and an enum default gives its choices."""
-    if isinstance(default, Enum):
-        kwargs["choices"] = [e.value for e in type(default)]
+def _add_flag(p: _Parser, flag: str, default, text: str = "", **kwargs) -> None:
+    """A setting flag with no argparse type, choices or default, so that
+    ``_SETTINGS`` alone parses its value: its help shows the dataclass
+    default, and an enum default gives its choices."""
+    if isinstance(default, Enum) and kwargs.get("metavar") is None:
+        kwargs["metavar"] = "{" + ",".join(e.value for e in type(default)) + "}"
     if default is not None:
         shown = (",".join(map(str, default)) if isinstance(default, tuple)
                  else getattr(default, "value", default))
         text = f"{text} (default {shown})".lstrip()
     p.add_argument(flag, help=text, **kwargs)
+    p.setting_flags.add(flag)
 
 
-def _add_settings(p: argparse.ArgumentParser, keys, runs: str | None = None,
+def _add_settings(p: _Parser, keys, runs: str | None = None,
                   mode_required: bool = False) -> None:
     """One flag per setting key; the key named by ``runs`` is given as --runs."""
     for key in keys:

@@ -13,16 +13,22 @@ Sparse attributes (bag-of-words rows are about 1% nonzero) stay in factored
 form: the first layer applies Â·(X·W) and Xᵀ·(Â·dZ) instead of materializing
 the dense n×T product Â·X, which can move the loss in its last bits.
 
-An epoch holds one forward cache and a few n×d buffers beside it. ``forward``
-fills the cache for one ``backward``, which consumes it: each entry is dropped
-once its gradient step has read it. The output head works in place.
-SELU, its derivative (times the upstream gradient) and Adam's update each
-run as one chain of elementwise operations over blocks of about
-``_BLOCK_CELLS`` cells, so a block's intermediates stay in L2 cache, and
-none uses a masked copy. Each chain is exact: every value has the bits of
-the plain whole-array form (``selu`` and ``selu_grad`` give the argument;
-Adam keeps its operation order). ``training_bytes`` is the budget for the
-cache and the weight-sized state.
+An epoch holds one forward cache and a few n×d buffers beside it. Besides
+the first layer's input, the cache holds each layer's activation h and the
+output head's entries, nothing else. A hidden layer computes Â·(h·W), and
+backward needs neither Â·h nor the pre-activation z: Â is symmetric, so one
+product P = Â·dZ per layer gives both the weight gradient hᵀ·P = (Â·h)ᵀ·dZ
+and the upstream gradient P·Wᵀ, and SELU′(z) is read from h = selu(z), as
+λ where h > 0 and h + λα elsewhere. ``forward`` fills the cache for one
+``backward``, which consumes it: each entry is dropped once its gradient
+step has read it, and each activation is overwritten with its layer's dZ.
+The output head works in place. SELU, SELU′ (times the upstream gradient)
+and Adam's update each run as one chain of elementwise operations over
+blocks of about ``_BLOCK_CELLS`` cells, so a block's intermediates stay in
+L2 cache, and none uses a masked copy. ``selu``, ``selu_grad`` and Adam
+keep the bits of the plain whole-array forms (``selu`` and ``selu_grad``
+give the argument; Adam keeps its operation order). ``training_bytes`` is
+the budget for the cache and the weight-sized state.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ from .graph import Graph
 
 SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
+# SELU′ of z ≤ 0 is λα·exp(z) = selu(z) + λα
+_LAMBDA_ALPHA = SELU_LAMBDA * SELU_ALPHA
 EPS = 1e-12
 # Adam moment decay rates and denominator guard (Kingma & Ba defaults)
 ADAM_BETA1 = 0.9
@@ -102,13 +110,7 @@ def selu_grad(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     term is −0.0, which changes nothing. The mask stays a comparison of z,
     since a tiny negative z also gives α·exp(z) = α.
     """
-    return _selu_grad(z, np.empty_like(z) if out is None else out)
-
-
-def _selu_grad(z: np.ndarray, out: np.ndarray, factor: np.ndarray | None = None
-               ) -> np.ndarray:
-    """``selu_grad(z, out)``, times ``factor`` (of z's shape) if given, in
-    the same pass over each block."""
+    out = np.empty_like(z) if out is None else out
     zs, gs = np.atleast_1d(z, out)
     for rows, tmp in _blocks(zs):
         zb, gb = zs[rows], gs[rows]
@@ -119,9 +121,29 @@ def _selu_grad(z: np.ndarray, out: np.ndarray, factor: np.ndarray | None = None
         gb *= SELU_ALPHA
         gb += tmp
         gb *= SELU_LAMBDA
-        if factor is not None:
-            gb *= factor[rows]
     return out
+
+
+def _selu_grad_of_output(h: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """SELU′(z) times ``factor`` (of h's shape), read from the activation
+    h = selu(z) and built in h, which it returns.
+
+    SELU′(z) is λ where h > 0 and λα·exp(z) = h + λα elsewhere. Computed
+    block by block, with no ``exp`` and no masked copy, as
+    min(h, 0) + λα + [h > 0]·(λ − λα): λ − λα is exact (Sterbenz) and
+    λα + (λ − λα) rounds to exactly λ, and for h ≤ 0 the added term is
+    −0.0, so each cell has the bits of λ or of h + λα.
+    """
+    hs, fs = np.atleast_1d(h, factor)
+    for rows, tmp in _blocks(hs):
+        hb = hs[rows]
+        np.greater(hb, 0.0, out=tmp)  # before hb is written
+        tmp *= SELU_LAMBDA - _LAMBDA_ALPHA
+        np.minimum(hb, 0.0, out=hb)
+        hb += _LAMBDA_ALPHA
+        hb += tmp
+        hb *= fs[rows]
+    return h
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:
@@ -174,22 +196,19 @@ class GcnModel:
     def forward(self, ax0: LinearOperator) -> tuple[np.ndarray, dict]:
         """Embed from ``ax0 = propagate(x)``; returns (embedding, cache).
 
-        The cache serves one ``backward``, which consumes it. Until then it
-        holds each layer's input Â·h (``"ax"``) and pre-activation (``"z"``),
+        Layer 0 applies ``ax0`` to its weights; each later layer computes
+        Â·(h·W). The cache serves one ``backward``, which consumes it. Until
+        then it holds ``ax0``, the activations into layers 2 and 3 (``"h"``),
         the last activation ``"h3"`` and the output head's intermediates.
         """
         if not isinstance(ax0, LinearOperator):
             raise TypeError("forward takes the output of GcnModel.propagate(x), "
                             f"not {type(ax0).__name__}")
-        cache: dict = {"ax": [], "z": []}
-        h = None
-        for layer, w in enumerate(self.weights):
-            ah = self.a_norm @ h if layer else ax0
-            del h  # backward reads Â·h, not h
-            z = ah @ w
-            h = selu(z)
-            cache["ax"].append(ah)
-            cache["z"].append(z)
+        cache: dict = {"ax0": ax0, "h": []}
+        h = selu(ax0 @ self.weights[0])
+        for w in self.weights[1:]:
+            cache["h"].append(h)
+            h = selu(self.a_norm @ (h @ w))
 
         # row-normalize by the (sign-safely shifted) row sum, squash, then
         # square and scale to exactly unit-norm rows
@@ -210,31 +229,40 @@ class GcnModel:
     def backward(self, cache: dict, d_xe: np.ndarray) -> list[np.ndarray]:
         """Gradients of the loss w.r.t. the three weight matrices.
 
-        Consumes ``cache``: every entry is popped once used, and each layer's
-        ``z`` is overwritten with its gradient. A second ``backward`` on the
-        same cache raises ``ValueError``.
+        Per layer, from the top: dZ = SELU′ (read from the layer's
+        activation, which it overwrites) times the upstream gradient, then
+        P = Â·dZ once, the weight gradient h_prevᵀ·P and the upstream P·Wᵀ.
+        Layer 0's gradient is ``ax0``'s transpose applied to dZ. Consumes
+        ``cache``, which it leaves empty: every entry is dropped once used. A
+        second ``backward`` on the same cache raises ``ValueError``.
         """
-        if "h3" not in cache or len(cache["z"]) != len(self.weights):
+        if "h3" not in cache or len(cache["h"]) != len(self.weights) - 1:
             raise ValueError("this forward cache was already consumed by backward; "
                              "run forward again for a fresh one")
         d_h = _head_backward(cache, d_xe)
+        dz = _selu_grad_of_output(cache.pop("h3"), d_h)  # nothing reads h3 again
+        del d_h
+        hs = cache.pop("h")
         grads: list[np.ndarray] = [None] * len(self.weights)
-        for layer in range(len(self.weights) - 1, -1, -1):
-            dz = cache["z"].pop()
-            _selu_grad(dz, dz, d_h)  # nothing reads z again
-            del d_h
-            # layer 0's Â·X is a LinearOperator: its rmatmat skips the two
-            # copies that its transpose makes to conjugate dz and the result
-            ah = cache["ax"].pop()
-            grads[layer] = ah.T @ dz if layer else ah.rmatmat(dz)
-            if layer:
-                d_h = self.a_norm @ (dz @ self.weights[layer].T)
+        for layer in range(len(self.weights) - 1, 0, -1):
+            p = self.a_norm @ dz
+            del dz
+            h = hs.pop()
+            grads[layer] = h.T @ p
+            d_h = p @ self.weights[layer].T
+            del p
+            dz = _selu_grad_of_output(h, d_h)  # overwrites h
+            del h, d_h
+        # Â·X is a LinearOperator: its rmatmat skips the two copies that its
+        # transpose makes to conjugate dz and the result
+        grads[0] = cache.pop("ax0").rmatmat(dz)
         return grads
 
 
 def _head_backward(cache: dict, d_xe: np.ndarray) -> np.ndarray:
     """The output head's gradient w.r.t. ``h3``, popping the head's cache
-    entries; the n×d work runs in place in two buffers."""
+    entries but ``h3``, which backward reads next; the n×d work runs in
+    place in two buffers."""
     u, s, nonzero = cache.pop("u"), cache.pop("s"), cache.pop("nonzero")
 
     # unit-norm scaling: xe = u / s on non-degenerate rows
@@ -270,7 +298,7 @@ def _head_backward(cache: dict, d_xe: np.ndarray) -> np.ndarray:
     del xh
 
     # xb = h3 / den with den = rowsum(h3) + shift; du becomes d_h3
-    h3, den = cache.pop("h3"), cache.pop("den")
+    h3, den = cache["h3"], cache.pop("den")
     np.multiply(du, h3, out=tmp)
     row = tmp.sum(axis=1, keepdims=True)
     du /= den
@@ -327,9 +355,9 @@ def training_bytes(n: int, in_dim: int, hidden_dims: tuple[int, int, int]) -> in
     both Adam moments, plus the cache of one forward pass over ``n`` nodes."""
     d1, d2, d3 = hidden_dims
     weights = in_dim * d1 + d1 * d2 + d2 * d3
-    # z of every layer, Â·h into layers 2 and 3, h3, xh and u, and the
-    # per-row den, r and s
-    cache = n * (2 * d1 + 2 * d2 + 4 * d3 + 3)
+    # the activations h1, h2 and h3, the head's xh and u, and the per-row
+    # den, r and s
+    cache = n * (d1 + d2 + 3 * d3 + 3)
     return 8 * (4 * weights + cache)
 
 

@@ -219,6 +219,19 @@ def test_encoder_too_large_for_memory_exits_2_before_any_stage(tmp_path, capsys,
     ("detect", {"lr": True}, "lr: expected a number, got True"),
     ("detect", {"mu": False}, "mu: expected a number, got False"),
     ("detect", {"birch_threshold": True}, "birch_threshold: expected a number, got True"),
+    # an unknown mode and a value that starts with "-" reach the setting's
+    # parser from a flag, as from --config
+    ("detect", ["--mode", "bogus"], "mode: expected one of full, lm-only, lr-only, "
+                                    "unrefined-labels, modified-split, got 'bogus'"),
+    ("ablate", ["--mode", "bogus"], "mode: expected one of full, lm-only"),
+    ("detect", {"mode": "bogus"}, "mode: expected one of full, lm-only"),
+    ("detect", ["--lr", "-1e-3"], "learning_rate must be finite and > 0, got -0.001"),
+    ("detect", ["--mu", "-inf"], "mu must be finite and >= 0, got -inf"),
+    ("detect", ["--birch-threshold", "-1e-3"], "threshold_radius must be > 0, got -0.001"),
+    ("detect", ["--birch", "-1e-3"], "threshold_radius must be > 0, got -0.001"),
+    ("detect", ["--hidden-dims", "-1,2,3"],
+     "hidden_dims must be three positive sizes, got (-1, 2, 3)"),
+    ("detect", ["--epochs", "7.5"], "epochs: expected an integer, got '7.5'"),
 ])
 def test_bad_settings_exit_2_before_any_stage(tmp_path, capsys, monkeypatch,
                                               cmd, flags, needle):
@@ -426,6 +439,23 @@ def test_flag_and_config_give_the_same_run_config(tmp_path, key):
     cfg.write_text(json.dumps({key: value}))
     from_file = cli._run_config(parser.parse_args([*bundle, "--config", str(cfg)]))
     assert from_flag == from_file != pipeline.RunConfig()
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--epochs", "7.0"], {"epochs": 7.0}),
+    (["--epochs", "7"], {"epochs": "7.0"}),
+    (["--epochs=7e0"], {"epochs": 7}),
+    (["--hidden-dims", "8.0,6,4e0"], {"hidden_dims": [8.0, 6, 4]}),
+])
+def test_a_whole_float_is_an_integer_from_a_flag_and_from_config(tmp_path, flags, config):
+    bundle = ["detect", "--edges", "e", "--labels", "l"]
+    parser = cli.build_parser()
+    from_flag = cli._run_config(parser.parse_args([*bundle, *flags]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    from_file = cli._run_config(parser.parse_args([*bundle, "--config", str(cfg)]))
+    assert from_flag == from_file
+    assert (from_flag.epochs, from_flag.hidden_dims) in ((7, (256, 128, 64)), (300, (8, 6, 4)))
 
 
 def _help_entries(capsys, monkeypatch, cmd) -> dict:

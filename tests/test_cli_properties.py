@@ -8,13 +8,11 @@ file spells each value as the flag's text or as its native JSON number or
 list. With both, every flag beats the file's value for its key, including a
 file value that alone would be refused.
 
-Native JSON spellings are drawn only where they are the flag's value, so a
-whole float such as 7.0 is not a native spelling of an integer setting:
-``{"epochs": 7.0}`` runs while ``--epochs=7.0`` is refused (CHANGES.md).
-Modes are drawn from the valid choices only: argparse refuses any other
-``--mode`` as a usage error before ``_run_config`` sees it. Flags are given
-as ``--key=value``, since argparse takes a separate ``-1e-3`` or ``-inf``
-for an option.
+Native JSON spellings are drawn only where they are the flag's value. A
+whole float (``7.0``, ``"7.0"``, ``"1e3"``) is an integer in either route,
+and an unknown mode is a data error in either. Flags are given as
+``--key=value`` or as two words, ``--key value``, including values that
+start with ``-`` such as ``-1e-3`` and ``-inf``.
 
 Skipped when hypothesis is not installed; runs under the ``tier1`` profile
 of conftest.py.
@@ -46,6 +44,8 @@ def _spelling(text: str, native=None) -> tuple[str, object]:
 
 
 _INTS = st.one_of(st.integers(-3, 12).map(lambda i: _spelling(str(i), i)),
+                  st.integers(-3, 12).map(lambda i: _spelling(repr(float(i)), float(i))),
+                  st.sampled_from([_spelling("1e1", 10.0), _spelling("-1e0", -1.0)]),
                   st.sampled_from(_WRONG).map(_spelling))
 _FLOATS = st.one_of(
     st.floats(allow_nan=True).map(lambda f: _spelling(repr(f), f)),
@@ -53,9 +53,12 @@ _FLOATS = st.one_of(
 _DIMS = st.one_of(
     st.lists(st.integers(-1, 9), min_size=1, max_size=4).map(
         lambda d: _spelling(",".join(map(str, d)), d)),
+    st.lists(st.integers(-1, 9).map(float), min_size=1, max_size=4).map(
+        lambda d: _spelling(",".join(map(repr, d)), d)),
     st.sampled_from(["8,6,4", "8, 6 ,4", "a,b,c", "8.5,6,4", "8,,4", *_WRONG]).map(_spelling))
 _KINDS = {"mu": _FLOATS, "lr": _FLOATS, "birch_threshold": _FLOATS, "hidden_dims": _DIMS,
-          "mode": st.sampled_from([m.value for m in RunMode]).map(_spelling)}
+          "mode": st.sampled_from([*(m.value for m in RunMode), "bogus", "FULL", "",
+                                   "-full"]).map(_spelling)}
 
 
 def _values():
@@ -68,9 +71,13 @@ def _values():
         lambda d: {k: d[k] for k in cli._SETTINGS if k in d})
 
 
-def _outcome(flags: dict, config: dict | None = None):
-    """The ``RunConfig`` the settings give, or the ``DataError`` text."""
-    argv = [*_BUNDLE, *(f"--{key.replace('_', '-')}={text}" for key, text in flags.items())]
+def _outcome(flags: dict, config: dict | None = None, two_words: bool = False):
+    """The ``RunConfig`` the settings give, or the ``DataError`` text; flags
+    are ``--key value`` if ``two_words``, else ``--key=value``."""
+    argv = list(_BUNDLE)
+    for key, text in flags.items():
+        flag = "--" + key.replace("_", "-")
+        argv += [flag, text] if two_words else [f"{flag}={text}"]
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
             path = Path(tmp, "config.json")
@@ -85,18 +92,20 @@ def _outcome(flags: dict, config: dict | None = None):
 @settings(settings.get_profile("tier1"), max_examples=150)
 @given(_values())
 def test_flags_and_a_config_file_give_the_same_outcome(values):
-    from_flags = _outcome({k: text for k, (text, _) in values.items()})
-    as_text = _outcome({}, {k: text for k, (text, _) in values.items()})
+    texts = {k: text for k, (text, _) in values.items()}
+    from_flags = _outcome(texts)
+    as_two_words = _outcome(texts, two_words=True)
+    as_text = _outcome({}, texts)
     as_json = _outcome({}, {k: native for k, (_, native) in values.items()})
-    assert from_flags == as_text == as_json
+    assert from_flags == as_two_words == as_text == as_json
 
 
 @settings(settings.get_profile("tier1"), max_examples=150)
-@given(_values(), _values())
-def test_a_flag_beats_the_config_file(in_file, as_flags):
+@given(_values(), _values(), st.booleans())
+def test_a_flag_beats_the_config_file(in_file, as_flags, two_words):
     merged = {k: native for k, (_, native) in in_file.items()}
     merged.update((k, native) for k, (_, native) in as_flags.items())
     got = _outcome({k: text for k, (text, _) in as_flags.items()},
-                   {k: native for k, (_, native) in in_file.items()})
+                   {k: native for k, (_, native) in in_file.items()}, two_words)
     want = _outcome({}, merged)
     assert got == want

@@ -137,10 +137,13 @@ def test_backward_consumes_its_cache():
     g = random_connected_graph(rng, 10, 0.3)
     model = GcnModel(g, in_dim=3, hidden_dims=(4, 3, 2), seed=2)
     xe, cache = model.forward(model.propagate(rng.normal(size=(10, 3))))
-    # until backward runs, the cache holds the last activation
+    # until backward runs, the cache holds the activations and the head's
+    # entries, and no pre-activation or Â·h
+    assert sorted(cache) == ["ax0", "den", "h", "h3", "nonzero", "r", "s", "u", "xh"]
+    assert [h.shape for h in cache["h"]] == [(10, 4), (10, 3)]
     assert cache["h3"].shape == (10, 2)
     model.backward(cache, np.ones_like(xe))
-    assert "h3" not in cache and cache["z"] == [] and cache["ax"] == []
+    assert cache == {}
     with pytest.raises(ValueError, match="already consumed"):
         model.backward(cache, np.ones_like(xe))
 
@@ -277,6 +280,62 @@ def test_factored_first_layer_matches_dense_reference():
                 fd = (loss_at(wp) - loss_at(wm)) / (2 * h)
                 worst_fd = max(worst_fd, abs(grads[li][idx] - fd) / max(abs(fd), 1e-6))
     assert worst_fd <= 1e-4
+
+
+def _dense_reference(model: GcnModel, x: np.ndarray, d_xe_of):
+    """Embedding and weight gradients in the earlier contraction order, all
+    dense: each layer computes (Â·h)·W and keeps its pre-activation z, and
+    backward takes (Â·h)ᵀ·dZ and Â·(dZ·Wᵀ). ``d_xe_of`` maps the embedding to
+    the loss gradient; the output head is the encoder's own."""
+    a = model.a_norm.toarray()
+    ahs, zs, h = [], [], x
+    for w in model.weights:
+        ahs.append(a @ h)
+        zs.append(ahs[-1] @ w)
+        h = selu(zs[-1])
+    rowsum = h.sum(axis=1, keepdims=True)
+    den = rowsum + EPS * np.where(rowsum >= 0, 1.0, -1.0)
+    xh = np.tanh(h / den)
+    r = np.linalg.norm(xh, axis=1, keepdims=True)
+    u = xh ** 2 / (r + EPS)
+    s = np.linalg.norm(u, axis=1, keepdims=True)
+    nonzero = s > EPS
+    xe = np.where(nonzero, u / np.where(nonzero, s, 1.0), 0.0)
+    d_xe = d_xe_of(xe)
+    d_h = gcn_module._head_backward(
+        dict(h3=h, den=den, xh=xh, r=r, u=u, s=s, nonzero=nonzero), d_xe)
+    grads = [None] * 3
+    for layer in (2, 1, 0):
+        dz = selu_grad(zs[layer]) * d_h
+        grads[layer] = ahs[layer].T @ dz
+        d_h = a @ (dz @ model.weights[layer].T)
+    return xe, d_xe, grads
+
+
+def test_gradients_match_the_dense_earlier_order():
+    rng = np.random.default_rng(89)
+    mu = 0.7
+    for trial in range(16):
+        factored = trial % 2 == 0
+        n = int(rng.integers(8, 40))
+        t = int(rng.integers(150, 300)) if factored else int(rng.integers(2, 8))
+        g = (random_connected_graph if trial % 4 < 2 else random_graph)(rng, n, 0.15)
+        x = ((rng.random((n, t)) < 0.02).astype(np.float64) if factored
+             else rng.normal(size=(n, t)))
+        model = GcnModel(g, in_dim=t, hidden_dims=(6, 5, 4),
+                         seed=int(rng.integers(1 << 31)))
+        tm = PairwiseTarget(random_partition(rng, n, int(rng.integers(1, n + 1))))
+        tr = PairwiseTarget(random_partition(rng, n, int(rng.integers(1, n + 1))))
+        loss_grad = lambda xe: pairwise_loss([(tm, 1.0), (tr, mu)], xe)[1]
+        xe_ref, d_xe, grads_ref = _dense_reference(model, x, loss_grad)
+
+        ax0 = model.propagate(x)
+        assert _factored(ax0) == factored
+        xe, cache = model.forward(ax0)
+        np.testing.assert_allclose(xe, xe_ref, rtol=1e-10, atol=1e-14)
+        for got, want in zip(model.backward(cache, d_xe), grads_ref):
+            np.testing.assert_allclose(got, want, rtol=1e-10,
+                                       atol=1e-10 * np.abs(want).max())
 
 
 def test_propagate_keeps_dense_attributes_dense():

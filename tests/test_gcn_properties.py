@@ -1,13 +1,18 @@
 """Bit-for-bit property tests of the encoder's blocked elementwise passes.
 
-``selu``, ``selu_grad`` (alone and times the backward pass's upstream
-gradient) and ``AdamState.step`` run over blocks of about
+``selu``, ``selu_grad`` and ``AdamState.step`` run over blocks of about
 ``gcn._BLOCK_CELLS`` cells with no masked copy. Each must give the bytes of
 its whole-array, masked reference form below, on 0-d, 1-d, 2-d and
 non-contiguous inputs, with ``out=z``, on arrays one block long give or take
 a cell, and on the cells where the forms could part: ±0.0, ±subnormals, ±inf,
 z > 710 (``expm1`` overflows) and −1e-17 (``exp`` rounds to 1). The block
 size is patched small so that arrays span many blocks.
+
+The backward pass reads SELU′ from the activation h = selu(z), times the
+upstream gradient, in h's own cells. That kernel must give the bytes of
+``np.where(h > 0, λ, h + λα)`` (times the gradient), and lie within 4 ulp
+of λα of ``selu_grad(z)``, on the same layouts and also on z below −40,
+where ``selu(z) + λα`` cancels to a few ulp.
 
 Skipped when hypothesis is not installed; runs under the ``tier1`` profile
 of conftest.py.
@@ -33,7 +38,7 @@ from comdet.gcn import (
     SELU_ALPHA,
     SELU_LAMBDA,
     AdamState,
-    _selu_grad,
+    _selu_grad_of_output,
     selu,
     selu_grad,
 )
@@ -98,13 +103,14 @@ _VIEWS = {
 
 
 @st.composite
-def _inputs(draw):
+def _inputs(draw, cells=_CELLS):
     """``(base, view, block_cells)``: z is ``view(base)``, of one of the
-    layouts above or a 0-d or 1-d array, often one block long ±1 cell."""
+    layouts above or a 0-d or 1-d array, often one block long ±1 cell, with
+    cells drawn from ``cells``."""
     block_cells = draw(_BLOCK)
     kind = draw(st.sampled_from(["0-d", "1-d", *_VIEWS]))
     if kind == "0-d":
-        return np.array(draw(_CELLS)), lambda a: a, block_cells
+        return np.array(draw(cells)), lambda a: a, block_cells
     near_block = st.integers(max(0, block_cells - 1), block_cells + 1)
     if kind == "1-d":
         shape = (draw(st.one_of(near_block, st.integers(0, 70))),)
@@ -113,7 +119,7 @@ def _inputs(draw):
         cols = draw(st.integers(1, 6))
         rows = draw(st.one_of(near_block, st.integers(0, 30)))
         shape, view = (rows, cols), _VIEWS[kind]
-    return draw(hnp.arrays(np.float64, shape, elements=_CELLS)), view, block_cells
+    return draw(hnp.arrays(np.float64, shape, elements=cells)), view, block_cells
 
 
 @settings(settings.get_profile("tier1"), max_examples=300)
@@ -126,23 +132,53 @@ def test_selu_matches_the_masked_reference(case):
 
 
 @settings(settings.get_profile("tier1"), max_examples=300)
-@given(_inputs(), st.integers(0, 2 ** 32 - 1))
-def test_selu_grad_matches_the_masked_reference(case, seed):
+@given(_inputs())
+def test_selu_grad_matches_the_masked_reference(case):
     base, view, block_cells = case
     z = view(base)
-    factor = np.random.default_rng(seed).standard_normal(z.shape)
     with mock.patch.object(gcn, "_BLOCK_CELLS", block_cells), np.errstate(over="ignore"):
         expected = reference_selu_grad(z)
         assert_same_bits(selu_grad(z), expected)
-        # out=z writes z's own cells and nothing else of its base, times the
-        # backward pass's upstream gradient when one is given (never 0-d)
-        for scale in (None, factor) if z.ndim else (None,):
-            overwritten = base.copy()
-            zv = view(overwritten)
-            assert _selu_grad(zv, zv, scale) is zv
-            want = base.copy()
-            view(want)[...] = expected if scale is None else expected * factor
-            assert_same_bits(overwritten, want)
+        # out=z writes z's own cells and nothing else of its base
+        overwritten = base.copy()
+        zv = view(overwritten)
+        assert selu_grad(zv, out=zv) is zv
+        want = base.copy()
+        view(want)[...] = expected
+        assert_same_bits(overwritten, want)
+
+
+def reference_selu_grad_of_output(h: np.ndarray) -> np.ndarray:
+    """SELU′ read from the activation h = selu(z): λ where h > 0, else h + λα."""
+    return np.where(h > 0, SELU_LAMBDA, h + SELU_LAMBDA * SELU_ALPHA)
+
+
+# below about −37, expm1(z) rounds to −1 and selu(z) + λα to 0
+_ACT_CELLS = st.one_of(_CELLS, st.floats(-800.0, -40.0), st.floats(-1e-300, 1e-300))
+
+
+@settings(settings.get_profile("tier1"), max_examples=300)
+@given(_inputs(_ACT_CELLS), st.integers(0, 2 ** 32 - 1))
+def test_selu_grad_read_from_the_activation(case, seed):
+    base, view, block_cells = case
+    z = view(base)
+    factor = np.asarray(np.random.default_rng(seed).standard_normal(z.shape))
+    with mock.patch.object(gcn, "_BLOCK_CELLS", block_cells):
+        h = selu(z)
+        expected = reference_selu_grad_of_output(h)
+        got = h.copy()
+        assert _selu_grad_of_output(got, np.ones_like(h)) is got
+        assert_same_bits(got, expected)
+        assert np.all(np.abs(expected - selu_grad(z))
+                      <= 4 * np.spacing(SELU_LAMBDA * SELU_ALPHA))
+        # times the upstream gradient, in the activation's own cells and no
+        # others of its base
+        overwritten = selu(base)
+        hv = view(overwritten)
+        assert _selu_grad_of_output(hv, factor) is hv
+        want = selu(base)
+        view(want)[...] = expected * factor
+        assert_same_bits(overwritten, want)
 
 
 @pytest.mark.parametrize("block_cells", [1, 4, len(SPECIAL), 2 ** 15])

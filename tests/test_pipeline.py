@@ -298,31 +298,33 @@ def _triplet_bundle(tmp_path) -> DatasetBundle:
     return load_dataset(paths["edges"], attrs, paths["labels"], name="triplets")
 
 
-@pytest.mark.parametrize("mode, digest", [
-    (RunMode.FULL,
-     "c84a3cf8bcd22ca77763fbae07422223b0b1a0fe62e82b385b0647693d354ccb"),
-    (RunMode.LM_ONLY,
-     "f8363bc6171aa9960b891fbcf4776951c357a08f6ba2ed404bc8b1ea26f9733c"),
-    (RunMode.LR_ONLY,
-     "d8cbf6aaed87ac93915490c2cabaafb1832450efbcf03b3fc1e805276f1c84a9"),
-    (RunMode.UNREFINED_LABELS,
-     "771525a831f7598e4aad96287f7980de1a254e4ec57bce6e0f2c28d1c66912e0"),
-    (RunMode.MODIFIED_SPLIT,
-     "6dfd85295e0c5c01706d9549b8e3f70dfc231dcb1be556796fc809dbc934c700"),
-])
-def test_run_metrics_are_pinned_per_mode(tmp_path, mode, digest):
+# literal sha256 of metrics.json per mode, keyed outside the test ids so
+# that a re-pin keeps each test's name
+_MODE_DIGESTS = {
+    RunMode.FULL: "3cfc9278915cdade4603f730937af12934059d315d9da8889781de1bd40bfd59",
+    RunMode.LM_ONLY: "c2e5f31838f120cb46d44890185c4b2810eaf49bb1a5d8f50d0afb79607d8106",
+    RunMode.LR_ONLY: "336283eec36ed76471c0ff54ced3935a3ced154732b3ae87401e103306f9bf74",
+    RunMode.UNREFINED_LABELS:
+        "c8084e31fda5f0046ff6bd79ad2f618e18817350dbce1dbbf28aad637af2eb8a",
+    RunMode.MODIFIED_SPLIT:
+        "501a09dcad3a78a0c4061caec932af1aa42ddcd905ecf52bd7b78ff7d1453f8d",
+}
+
+
+@pytest.mark.parametrize("mode", list(_MODE_DIGESTS), ids=lambda m: m.value)
+def test_run_metrics_are_pinned_per_mode(tmp_path, mode):
     """Literal sha256 of metrics.json (loss trace included) for every mode,
     so a change to how the encoder's input is built that moves a bit fails."""
     bundle = generate_synthetic(
         SyntheticSpec(n=90, k=3, p_in=0.15, p_out=0.04, t=9, s=0.5,
                       disconnect_fraction=0.5, seed=8))
-    assert _metrics_digest(tmp_path, bundle, _pinned_cfg(mode)) == digest
+    assert _metrics_digest(tmp_path, bundle, _pinned_cfg(mode)) == _MODE_DIGESTS[mode]
 
 
 def test_triplet_bundle_metrics_are_pinned(tmp_path):
     bundle = _triplet_bundle(tmp_path)
     assert _metrics_digest(tmp_path, bundle, _pinned_cfg(RunMode.FULL)) == (
-        "2245932ddadd52b63441e495aeafc9a8b90fe8793b846b55b22bb865d6a5b154")
+        "c423c578bc6c5a5c1d65b2e961ac2788a2384849eed0025d3b58d830a5c546a2")
 
 
 def test_triplet_attributes_are_canonical_csr_and_run_like_their_dense_array(tmp_path):
@@ -345,7 +347,7 @@ def test_run_refuses_an_encoder_larger_than_memory_before_any_stage(monkeypatch)
     cfg = _small_cfg(hidden_dims=(8, 6, 4))
     need = training_bytes(40, 4, (8, 6, 4))
     # weights, gradients and two Adam moments, and the forward cache
-    assert need == 8 * (4 * (4 * 8 + 8 * 6 + 6 * 4) + 40 * (2 * 8 + 2 * 6 + 4 * 4 + 3))
+    assert need == 8 * (4 * (4 * 8 + 8 * 6 + 6 * 4) + 40 * (8 + 6 + 3 * 4 + 3))
     monkeypatch.setattr(pipeline, "best_of_runs", no_stage)
     monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
     with pytest.raises(DataError) as info:
