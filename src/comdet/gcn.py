@@ -15,20 +15,26 @@ the dense n×T product Â·X, which can move the loss in its last bits.
 
 An epoch holds one forward cache and a few n×d buffers beside it. Besides
 the first layer's input, the cache holds each layer's activation h and the
-output head's entries, nothing else. A hidden layer computes Â·(h·W), and
-backward needs neither Â·h nor the pre-activation z: Â is symmetric, so one
-product P = Â·dZ per layer gives both the weight gradient hᵀ·P = (Â·h)ᵀ·dZ
-and the upstream gradient P·Wᵀ, and SELU′(z) is read from h = selu(z), as
-λ where h > 0 and h + λα elsewhere. ``forward`` fills the cache for one
-``backward``, which consumes it: each entry is dropped once its gradient
-step has read it, and each activation is overwritten with its layer's dZ.
-The output head works in place. SELU, SELU′ (times the upstream gradient)
-and Adam's update each run as one chain of elementwise operations over
-blocks of about ``_BLOCK_CELLS`` cells, so a block's intermediates stay in
-L2 cache, and none uses a masked copy. ``selu``, ``selu_grad`` and Adam
-keep the bits of the plain whole-array forms (``selu`` and ``selu_grad``
-give the argument; Adam keeps its operation order). ``training_bytes`` is
-the budget for the cache and the weight-sized state.
+output head's per-row factors, nothing else. A hidden layer computes
+Â·(h·W), and backward needs neither Â·h nor the pre-activation z: Â is
+symmetric, so one product P = Â·dZ per layer gives both the weight gradient
+hᵀ·P = (Â·h)ᵀ·dZ and the upstream gradient P·Wᵀ, and SELU′(z) is read from
+h = selu(z), as λ where h > 0 and h + λα elsewhere. ``forward`` fills the
+cache for one ``backward``, which consumes it: each entry is dropped once
+its gradient step has read it, and each activation is overwritten with its
+layer's dZ. SELU runs in place in each fresh product, and the head builds
+the embedding in one buffer. Backward forms P·Wᵀ one row block at a time,
+straight into the activation's rows, and recomputes the head's xh and u a
+row block at a time, so neither an n×d_in upstream gradient nor the head's
+intermediates are ever whole. SELU, SELU′ (times the upstream gradient) and
+Adam's update each run as one chain of elementwise operations over blocks
+of about ``_BLOCK_CELLS`` cells, so a block's intermediates stay in L2
+cache, and none uses a masked copy. Every blocked form keeps the bits of
+its whole-array form (``selu`` and ``selu_grad`` give the argument; Adam
+keeps its operation order); the row-blocked products assume, as
+``_row_products`` says, that the BLAS gives a row the same bits in any
+block. ``training_bytes`` is the budget for the cache and the weight-sized
+state.
 """
 
 from __future__ import annotations
@@ -66,18 +72,40 @@ _MAGIC = b"CDGC"
 _VERSION = 1
 
 
-def _blocks(a: np.ndarray):
-    """``(rows, tmp)`` for each block of about ``_BLOCK_CELLS`` cells of ``a``
-    (at least 1-d): a slice of its first axis, which is a view whatever the
-    strides, and a scratch array of the block's shape."""
+def _blocks(a: np.ndarray, scratch: int = 1):
+    """``(rows, tmp, ...)`` for each block of about ``_BLOCK_CELLS`` cells of
+    ``a`` (at least 1-d): a slice of its first axis, which is a view whatever
+    the strides, and ``scratch`` arrays of the block's shape."""
     step = max(1, _BLOCK_CELLS // max(1, a[:1].size))
-    tmp = np.empty((min(step, len(a)), *a.shape[1:]), dtype=a.dtype)
+    tmps = [np.empty((min(step, len(a)), *a.shape[1:]), dtype=a.dtype)
+            for _ in range(scratch)]
     for start in range(0, len(a), step):
-        yield slice(start, start + step), tmp[:len(a) - start]
+        yield slice(start, start + step), *(tmp[:len(a) - start] for tmp in tmps)
 
 
-def selu(z: np.ndarray) -> np.ndarray:
-    """λ·(z if z > 0 else α·expm1(z)), built in one new buffer.
+def _row_products(p: np.ndarray, w_t: np.ndarray):
+    """``(rows, block)`` for each row block of the product ``p @ w_t``, about
+    ``_BLOCK_CELLS`` cells a block, so the whole product never exists.
+
+    Every product the BLAS computes has the same number of rows, at least
+    two: a short last block is cut from a full-height product that repeats
+    rows of the block before. A row gets the bits it has in the whole-array
+    product as long as the BLAS gives a row the same bits in any block of
+    that height; numpy hands a single row to gemv, which may sum in another
+    order than gemm, hence the floor of two.
+    """
+    n = len(p)
+    step = max(1, min(n, max(2, _BLOCK_CELLS // w_t.shape[1])))
+    out = np.empty((step, w_t.shape[1]))
+    for start in range(0, n, step):
+        lo = min(start, n - step)
+        np.matmul(p[lo:lo + step], w_t, out=out)
+        yield slice(start, start + step), out[start - lo:]
+
+
+def selu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """λ·(z if z > 0 else α·expm1(z)), built in ``out`` (a new buffer by
+    default; ``out=z`` overwrites z).
 
     Computed block by block, with no mask, as
     copysign(λ·(α·expm1(min(z, 0)) + max(z, 0)), z), which has the same
@@ -85,18 +113,18 @@ def selu(z: np.ndarray) -> np.ndarray:
     max(z, 0) = +0 leaves the nonzero α·expm1(z) as it is; for z = ±0,
     ``copysign`` restores z's sign, which the sum of two zeros can lose.
     """
-    h = np.empty_like(z)
-    zs, hs = np.atleast_1d(z, h)
-    for rows, tmp in _blocks(zs):
-        zb, hb = zs[rows], hs[rows]
-        np.minimum(zb, 0.0, out=hb)
-        np.expm1(hb, out=hb)
-        hb *= SELU_ALPHA
-        np.maximum(zb, 0.0, out=tmp)
-        hb += tmp
-        hb *= SELU_LAMBDA
-        np.copysign(hb, zb, out=hb)
-    return h
+    out = np.empty_like(z) if out is None else out
+    zs, hs = np.atleast_1d(z, out)
+    for rows, pos, neg in _blocks(zs, 2):
+        zb = zs[rows]  # read until the last step, which may overwrite it
+        np.maximum(zb, 0.0, out=pos)
+        np.minimum(zb, 0.0, out=neg)
+        np.expm1(neg, out=neg)
+        neg *= SELU_ALPHA
+        neg += pos
+        neg *= SELU_LAMBDA
+        np.copysign(neg, zb, out=hs[rows])
+    return out
 
 
 def selu_grad(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -197,33 +225,40 @@ class GcnModel:
         """Embed from ``ax0 = propagate(x)``; returns (embedding, cache).
 
         Layer 0 applies ``ax0`` to its weights; each later layer computes
-        Â·(h·W). The cache serves one ``backward``, which consumes it. Until
-        then it holds ``ax0``, the activations into layers 2 and 3 (``"h"``),
-        the last activation ``"h3"`` and the output head's intermediates.
+        Â·(h·W), and SELU runs in place in each fresh product. The head
+        builds the embedding in one n×d3 buffer (tanh, then the squared
+        rows, then their unit-norm scaling). The cache serves one
+        ``backward``, which consumes it. Until then it holds ``ax0``, the
+        activations into layers 2 and 3 (``"h"``), the last activation
+        ``"h3"`` and the head's per-row ``den``, ``r``, ``s`` and
+        ``nonzero``, from which backward recomputes the rest of the head.
         """
         if not isinstance(ax0, LinearOperator):
             raise TypeError("forward takes the output of GcnModel.propagate(x), "
                             f"not {type(ax0).__name__}")
         cache: dict = {"ax0": ax0, "h": []}
-        h = selu(ax0 @ self.weights[0])
+        h = ax0 @ self.weights[0]
+        selu(h, out=h)
         for w in self.weights[1:]:
             cache["h"].append(h)
-            h = selu(self.a_norm @ (h @ w))
+            h = self.a_norm @ (h @ w)
+            selu(h, out=h)
 
         # row-normalize by the (sign-safely shifted) row sum, squash, then
-        # square and scale to exactly unit-norm rows
+        # square and scale to exactly unit-norm rows: xh, u and xe in turn
+        # fill one buffer
         rowsum = h.sum(axis=1, keepdims=True)
         den = rowsum + EPS * np.where(rowsum >= 0, 1.0, -1.0)
-        xh = h / den
-        np.tanh(xh, out=xh)
-        r = np.linalg.norm(xh, axis=1, keepdims=True)
-        u = xh ** 2
-        u /= r + EPS
-        s = np.linalg.norm(u, axis=1, keepdims=True)
+        xe = h / den
+        np.tanh(xe, out=xe)
+        r = np.linalg.norm(xe, axis=1, keepdims=True)
+        np.square(xe, out=xe)
+        xe /= r + EPS
+        s = np.linalg.norm(xe, axis=1, keepdims=True)
         nonzero = s > EPS
-        xe = u / np.where(nonzero, s, 1.0)
+        xe /= np.where(nonzero, s, 1.0)
         np.copyto(xe, 0.0, where=~nonzero)
-        cache.update(h3=h, den=den, xh=xh, r=r, u=u, s=s, nonzero=nonzero)
+        cache.update(h3=h, den=den, r=r, s=s, nonzero=nonzero)
         return xe, cache
 
     def backward(self, cache: dict, d_xe: np.ndarray) -> list[np.ndarray]:
@@ -231,17 +266,20 @@ class GcnModel:
 
         Per layer, from the top: dZ = SELU′ (read from the layer's
         activation, which it overwrites) times the upstream gradient, then
-        P = Â·dZ once, the weight gradient h_prevᵀ·P and the upstream P·Wᵀ.
-        Layer 0's gradient is ``ax0``'s transpose applied to dZ. Consumes
-        ``cache``, which it leaves empty: every entry is dropped once used. A
-        second ``backward`` on the same cache raises ``ValueError``.
+        P = Â·dZ once and the weight gradient h_prevᵀ·P. The upstream
+        gradient of the layer below, P·Wᵀ, is formed one row block at a time
+        (``_row_products``) and turned into that layer's dZ in the
+        activation's rows, so no n×d_in array of it exists. Layer 0's
+        gradient is ``ax0``'s transpose applied to dZ. ``d_xe`` is left as
+        it is. Consumes ``cache``, which it leaves empty: every entry is
+        dropped once used. A second ``backward`` on the same cache raises
+        ``ValueError``.
         """
         if "h3" not in cache or len(cache["h"]) != len(self.weights) - 1:
             raise ValueError("this forward cache was already consumed by backward; "
                              "run forward again for a fresh one")
-        d_h = _head_backward(cache, d_xe)
-        dz = _selu_grad_of_output(cache.pop("h3"), d_h)  # nothing reads h3 again
-        del d_h
+        dz = _selu_grad_of_output(cache["h3"], _head_backward(cache, d_xe))
+        del cache["h3"]  # its buffer is dz now
         hs = cache.pop("h")
         grads: list[np.ndarray] = [None] * len(self.weights)
         for layer in range(len(self.weights) - 1, 0, -1):
@@ -249,10 +287,10 @@ class GcnModel:
             del dz
             h = hs.pop()
             grads[layer] = h.T @ p
-            d_h = p @ self.weights[layer].T
-            del p
-            dz = _selu_grad_of_output(h, d_h)  # overwrites h
-            del h, d_h
+            for rows, d_h in _row_products(p, self.weights[layer].T):
+                _selu_grad_of_output(h[rows], d_h)  # h's rows become dZ's
+            dz = h
+            del p, h
         # Â·X is a LinearOperator: its rmatmat skips the two copies that its
         # transpose makes to conjugate dz and the result
         grads[0] = cache.pop("ax0").rmatmat(dz)
@@ -260,50 +298,65 @@ class GcnModel:
 
 
 def _head_backward(cache: dict, d_xe: np.ndarray) -> np.ndarray:
-    """The output head's gradient w.r.t. ``h3``, popping the head's cache
-    entries but ``h3``, which backward reads next; the n×d work runs in
-    place in two buffers."""
-    u, s, nonzero = cache.pop("u"), cache.pop("s"), cache.pop("nonzero")
+    """The output head's gradient w.r.t. ``h3``, in a new array; ``d_xe`` is
+    left as it is.
 
-    # unit-norm scaling: xe = u / s on non-degenerate rows
+    Pops the head's per-row entries but ``h3``, which backward reads next.
+    The n×d work runs one row block at a time: each block recomputes xh and
+    u from h3 with forward's operations, so they have forward's bits, then
+    takes the whole-array form's steps on its rows, in three block-sized
+    scratch arrays.
+    """
+    h3 = cache["h3"]
+    den, r, s, nonzero = (cache.pop(k) for k in ("den", "r", "s", "nonzero"))
+    # the per-row factors, as n×1 arrays
     safe_s = np.where(nonzero, s, 1.0)
-    tmp = d_xe * u
-    dot = tmp.sum(axis=1, keepdims=True)
-    du = d_xe / safe_s
-    np.multiply(u, dot, out=tmp)
-    tmp /= safe_s ** 3
-    du -= tmp
-    np.copyto(du, 0.0, where=~nonzero)
-    del u
-
-    # u = xh^2 / (r + eps) with r = ||xh||; du becomes d_xh
-    xh, r = cache.pop("xh"), cache.pop("r")
+    safe_s3 = safe_s ** 3
+    degenerate = ~nonzero
     rp = r + EPS
+    rp2 = rp ** 2
     inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
-    np.square(xh, out=tmp)
-    tmp *= du
-    row = tmp.sum(axis=1, keepdims=True)
-    np.multiply(xh, 2.0, out=tmp)
-    du *= tmp
-    du /= rp
-    np.multiply(xh, row, out=tmp)
-    tmp *= inv_r
-    tmp /= rp ** 2
-    du -= tmp
+    den2 = den ** 2
+    d_h3 = np.empty_like(h3)
+    for rows, xh, u, tmp in _blocks(h3, 3):
+        np.divide(h3[rows], den[rows], out=xh)
+        np.tanh(xh, out=xh)
+        np.square(xh, out=u)
+        u /= rp[rows]
+        d_xb, du = d_xe[rows], d_h3[rows]
 
-    # xh = tanh(xb); du becomes d_xb
-    np.square(xh, out=tmp)
-    np.subtract(1.0, tmp, out=tmp)
-    du *= tmp
-    del xh
+        # unit-norm scaling: xe = u / s on non-degenerate rows
+        np.multiply(d_xb, u, out=tmp)
+        dot = tmp.sum(axis=1, keepdims=True)
+        np.divide(d_xb, safe_s[rows], out=du)
+        np.multiply(u, dot, out=tmp)
+        tmp /= safe_s3[rows]
+        du -= tmp
+        np.copyto(du, 0.0, where=degenerate[rows])
 
-    # xb = h3 / den with den = rowsum(h3) + shift; du becomes d_h3
-    h3, den = cache["h3"], cache.pop("den")
-    np.multiply(du, h3, out=tmp)
-    row = tmp.sum(axis=1, keepdims=True)
-    du /= den
-    du -= row / den ** 2
-    return du
+        # u = xh^2 / (r + eps) with r = ||xh||; du becomes d_xh
+        np.square(xh, out=tmp)
+        tmp *= du
+        row = tmp.sum(axis=1, keepdims=True)
+        np.multiply(xh, 2.0, out=tmp)
+        du *= tmp
+        du /= rp[rows]
+        np.multiply(xh, row, out=tmp)
+        tmp *= inv_r[rows]
+        tmp /= rp2[rows]
+        du -= tmp
+
+        # xh = tanh(xb); du becomes d_xb
+        np.square(xh, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        du *= tmp
+
+        # xb = h3 / den with den = rowsum(h3) + shift; du becomes d_h3
+        np.multiply(du, h3[rows], out=tmp)
+        row = tmp.sum(axis=1, keepdims=True)
+        du /= den[rows]
+        du -= row / den2[rows]
+    return d_h3
 
 
 @dataclass
@@ -352,12 +405,14 @@ class AdamState:
 
 def training_bytes(n: int, in_dim: int, hidden_dims: tuple[int, int, int]) -> int:
     """Float64 bytes that training holds: the weights, their gradients and
-    both Adam moments, plus the cache of one forward pass over ``n`` nodes."""
+    both Adam moments, plus the cache of one forward pass over ``n`` nodes,
+    n·(d1 + d2 + d3 + 3) cells. The n×d3 buffers of an epoch (the
+    embedding, the loss's and the head's gradients) come on top: a short
+    run peaks at about 1.3 × this with one loss term, 1.4 × with two."""
     d1, d2, d3 = hidden_dims
     weights = in_dim * d1 + d1 * d2 + d2 * d3
-    # the activations h1, h2 and h3, the head's xh and u, and the per-row
-    # den, r and s
-    cache = n * (d1 + d2 + 3 * d3 + 3)
+    # the activations h1, h2 and h3, and the head's per-row den, r and s
+    cache = n * (d1 + d2 + d3 + 3)
     return 8 * (4 * weights + cache)
 
 

@@ -2,7 +2,13 @@
 
 The target Gram matrix H = S S^T (S the one-hot community indicator) is never
 materialized: its Frobenius products against the embedding factor through
-S^T X, so cost stays O(n d (d + k)) in time and O(n (d + 1)) in memory.
+S^T X, so cost stays O(n d (d + k)) in time and O(n (d + 1)) in memory. S M
+(M = S^T X, k x d) is read as the gather ``M[assignment]``, a row block at a
+time. It has the bits of the sparse product, which adds each row to +0.0:
+M is itself such a sum, so it holds no −0.0 that the addition would turn
+into +0.0. A call of ``t`` terms holds ``t`` n x d arrays besides X:
+X X^T X, which the last term's gradient overwrites, and one gradient for
+each other term.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .gcn import _blocks
 from .graph import Partition
 
 
@@ -21,6 +28,7 @@ class PairwiseTarget:
         if n == 0:
             raise ValueError("cannot build a target from an empty partition")
         self.n = n
+        self.assignment = partition.assignment
         self.onehot = sp.csr_matrix(
             (np.ones(n), partition.assignment, np.arange(n + 1, dtype=np.int64)),
             shape=(n, k))
@@ -36,8 +44,9 @@ def pairwise_loss(terms: list[tuple[PairwiseTarget, float]], x_e: np.ndarray, *,
     in factored form. ``||X^T X||^2`` and ``X X^T X`` are computed once and go as
     ``shared`` to the call that adds the other terms, so each term is one call
     (bench/tracing.py counts them). One term of weight 1.0 comes back exactly.
-    Each term's gradient is built in place, so a call of ``t`` terms holds
-    ``t + 1`` n x d arrays: ``X X^T X`` and one gradient per term.
+    ``shared`` is consumed: the last term, which no other term follows, builds
+    its gradient in the ``X X^T X`` buffer. So a two-term call holds two n x d
+    arrays besides X.
     """
     (target, weight), *rest = terms
     x = np.asarray(x_e, dtype=np.float64)
@@ -50,9 +59,12 @@ def pairwise_loss(terms: list[tuple[PairwiseTarget, float]], x_e: np.ndarray, *,
     n = target.n
     m = target.onehot.T @ x          # k x d community row sums
     value = weight * ((target.gram_norm_sq - 2.0 * float(np.sum(m * m)) + g_norm_sq) / (n * n))
-    # weight * ((4 / n²) * (xg - S m)), built in the S m buffer in that order
-    grad = target.onehot @ m
-    np.subtract(xg, grad, out=grad)
+    # weight * ((4 / n²) * (xg - S m)), in that order
+    grad = np.empty_like(xg) if rest else xg
+    for rows, sm in _blocks(grad):
+        # the indices are in range; "clip" only skips the buffered check
+        np.take(m, target.assignment[rows], axis=0, out=sm, mode="clip")
+        np.subtract(xg[rows], sm, out=grad[rows])
     grad *= 4.0 / (n * n)
     grad *= weight
     if rest:

@@ -505,3 +505,83 @@ def test_assignment_files_load_as_the_reference_reads_them(assignment, block_cel
             except DataError as exc:
                 loaded = str(exc)
     assert loaded == expected
+
+
+def reference_cora(content_path, cites_path) -> tuple[str, str, str]:
+    """The edges, attrs and labels text that ``load_cora_content`` writes,
+    read one line at a time: a content line is "id w_1 ... w_T class", and a
+    cite line "cited citing" is kept when both papers are in the content."""
+    known: set[str] = set()
+    attrs, labels = [], []
+    for k, text in _data_lines(content_path):
+        row = text.split()
+        if len(row) < 3:
+            raise Rejected(f"{content_path}:{k}: content lines need id, features, class")
+        values = []
+        for f in row[1:-1]:
+            try:
+                values.append(repr(float(f)))
+            except ValueError as exc:
+                raise Rejected(f"{content_path}:{k}: bad feature value ({exc})") from exc
+        known.add(row[0])
+        attrs.append(f"{row[0]},{','.join(values)}\n")
+        labels.append(f"{row[0]}\t{row[-1]}\n")
+    edges = []
+    for k, text in _data_lines(cites_path):
+        u, v = _split(cites_path, k, text, "cite", "cited citing")
+        if u in known and v in known:
+            edges.append(f"{u}\t{v}\n")
+    return "".join(edges), "".join(attrs), "".join(labels)
+
+
+@st.composite
+def _cora_pairs(draw) -> tuple[list[str], list[str]]:
+    """Content and cites lines: papers (an id now and then repeated) with
+    odd feature spellings, and cites that repeat, cite themselves or name
+    papers the content lacks; now and then one faulty line."""
+    ids = draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=8))
+    t = draw(st.integers(1, 4))
+    feature = st.sampled_from([c for c in _ODD if c.strip() == c] + ["0", "1", "2.5e-3"])
+    gap = st.sampled_from([" ", "\t", "  "])
+    content = [draw(gap).join([node, *draw(st.lists(feature, min_size=t, max_size=t)),
+                               draw(st.sampled_from(["ml", "db", "7"]))])
+               for node in ids]
+    paper = st.sampled_from(ids + ["ghost"])
+    cites = [f"{u}{draw(gap)}{v}" for u, v in draw(st.lists(st.tuples(paper, paper),
+                                                             max_size=12))]
+    cites += [f"{u} {u}" for u in draw(st.lists(paper, max_size=2))]
+    cites = draw(st.permutations(cites))
+    fault = draw(st.sampled_from([None, None, "bad feature", "short", "cite width"]))
+    if fault == "cite width":
+        cites.insert(draw(st.integers(0, len(cites))),
+                     draw(st.sampled_from(["a", "a b c", "ghost\tb\tc"])))
+    elif fault == "bad feature":
+        k = draw(st.integers(0, len(content) - 1))
+        row = content[k].split()
+        row[draw(st.integers(1, len(row) - 2))] = draw(
+            st.sampled_from([b for b in _BAD if b.strip() and " " not in b]))
+        content[k] = " ".join(row)
+    elif fault == "short":
+        k = draw(st.integers(0, len(content) - 1))
+        content[k] = " ".join(content[k].split()[::len(content[k].split()) - 1])
+    return draw(_noisy(content)), draw(_noisy(cites))
+
+
+@settings(settings.get_profile("tier1"), max_examples=80)
+@given(_cora_pairs())
+def test_cora_converter_writes_what_the_line_reader_reads(pair):
+    content_lines, cite_lines = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        content, cites = Path(tmp) / "x.content", Path(tmp) / "x.cites"
+        content.write_text("".join(line + "\n" for line in content_lines), encoding="utf-8")
+        cites.write_text("".join(line + "\n" for line in cite_lines), encoding="utf-8")
+        try:
+            expected = reference_cora(content, cites)
+        except Rejected as exc:
+            expected = str(exc)
+        try:
+            got = tuple(p.read_text(encoding="utf-8")
+                        for p in data_io.load_cora_content(content, cites))
+        except DataError as exc:
+            got = str(exc)
+    assert got == expected

@@ -14,6 +14,17 @@ upstream gradient, in h's own cells. That kernel must give the bytes of
 of λα of ``selu_grad(z)``, on the same layouts and also on z below −40,
 where ``selu(z) + λα`` cancels to a few ulp.
 
+The whole encoder keeps those bits too. With the block size patched small,
+the embedding, the loss gradient, the head's gradient (recomputed a row
+block at a time) and the three weight gradients (each layer's upstream
+gradient P·Wᵀ formed a row block at a time) must give the bytes of a
+whole-array form of the same steps, for dense and factored first layers,
+one or two loss terms, and n that leaves the row products one partial block
+or a last block of a single row. The loss's gathered S·M must give the
+bytes of the sparse product, ±0.0 cells included. These checks also test
+the BLAS of the machine they run on: a row must get the same bits in any
+block of rows.
+
 Skipped when hypothesis is not installed; runs under the ``tier1`` profile
 of conftest.py.
 """
@@ -31,19 +42,25 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from scipy.sparse.linalg import LinearOperator
+
 from comdet.gcn import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    EPS,
     SELU_ALPHA,
     SELU_LAMBDA,
     AdamState,
+    GcnModel,
     _selu_grad_of_output,
     selu,
     selu_grad,
 )
+from comdet.graph import Partition, canonical_labels
+from comdet.loss import PairwiseTarget, pairwise_loss
 
-from conftest import assert_same_bits
+from conftest import assert_same_bits, random_graph, random_partition
 
 gcn = importlib.import_module("comdet.gcn")
 
@@ -128,7 +145,15 @@ def test_selu_matches_the_masked_reference(case):
     base, view, block_cells = case
     z = view(base)
     with mock.patch.object(gcn, "_BLOCK_CELLS", block_cells), np.errstate(over="ignore"):
-        assert_same_bits(selu(z), reference_selu(z))
+        expected = reference_selu(z)
+        assert_same_bits(selu(z), expected)
+        # out=z writes z's own cells and nothing else of its base
+        overwritten = base.copy()
+        zv = view(overwritten)
+        assert selu(zv, out=zv) is zv
+        want = base.copy()
+        view(want)[...] = expected
+        assert_same_bits(overwritten, want)
 
 
 @settings(settings.get_profile("tier1"), max_examples=300)
@@ -192,6 +217,9 @@ def test_special_values_keep_their_bits(block_cells):
             overwritten = cells.copy()
             selu_grad(overwritten, out=overwritten)
             assert_same_bits(overwritten, reference_selu_grad(cells))
+            overwritten = cells.copy()
+            selu(overwritten, out=overwritten)
+            assert_same_bits(overwritten, reference_selu(cells))
         for value in SPECIAL:
             assert_same_bits(selu(np.array(value)), reference_selu(np.array(value)))
 
@@ -228,3 +256,154 @@ def test_adam_matches_the_reference_step_over_several_steps(run):
             assert got.t == want.t
             for pair in zip(got_w + got.m + got.v, want_w + want.m + want.v):
                 assert_same_bits(*pair)
+
+
+def reference_head_backward(h3, den, r, s, nonzero, d_xe):
+    """The output head's gradient over whole arrays, from xh and u rebuilt
+    with forward's operations."""
+    xh = np.tanh(h3 / den)
+    u = xh ** 2
+    u /= r + EPS
+    safe_s = np.where(nonzero, s, 1.0)
+    tmp = d_xe * u
+    dot = tmp.sum(axis=1, keepdims=True)
+    du = d_xe / safe_s
+    np.multiply(u, dot, out=tmp)
+    tmp /= safe_s ** 3
+    du -= tmp
+    np.copyto(du, 0.0, where=~nonzero)
+    rp = r + EPS
+    inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
+    np.square(xh, out=tmp)
+    tmp *= du
+    row = tmp.sum(axis=1, keepdims=True)
+    np.multiply(xh, 2.0, out=tmp)
+    du *= tmp
+    du /= rp
+    np.multiply(xh, row, out=tmp)
+    tmp *= inv_r
+    tmp /= rp ** 2
+    du -= tmp
+    np.square(xh, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    du *= tmp
+    np.multiply(du, h3, out=tmp)
+    row = tmp.sum(axis=1, keepdims=True)
+    du /= den
+    du -= row / den ** 2
+    return du
+
+
+def reference_pairwise_loss(terms, x):
+    """``pairwise_loss`` over whole arrays, with S M as the sparse product;
+    each term is added to the sum of the terms after it."""
+    g = x.T @ x
+    g_norm_sq, xg = float(np.sum(g * g)), x @ g
+    value, grad = None, None
+    for target, weight in reversed(terms):
+        n = target.n
+        m = target.onehot.T @ x
+        term_value = weight * ((target.gram_norm_sq - 2.0 * float(np.sum(m * m)) + g_norm_sq)
+                               / (n * n))
+        term = (xg - target.onehot @ m) * (4.0 / (n * n)) * weight
+        value = term_value if value is None else term_value + value
+        grad = term if grad is None else term + grad
+    return value, grad
+
+
+def reference_forward_backward(model, ax0, terms):
+    """Embedding, loss gradient and weight gradients over whole arrays: the
+    upstream gradient P·Wᵀ of each layer is one product, and dZ is
+    ``np.where(h > 0, λ, h + λα)`` times it."""
+    hs = [reference_selu(ax0 @ model.weights[0])]
+    for w in model.weights[1:]:
+        hs.append(reference_selu(model.a_norm @ (hs[-1] @ w)))
+    h3 = hs[-1]
+    rowsum = h3.sum(axis=1, keepdims=True)
+    den = rowsum + EPS * np.where(rowsum >= 0, 1.0, -1.0)
+    xh = np.tanh(h3 / den)
+    r = np.linalg.norm(xh, axis=1, keepdims=True)
+    u = xh ** 2
+    u /= r + EPS
+    s = np.linalg.norm(u, axis=1, keepdims=True)
+    nonzero = s > EPS
+    xe = u / np.where(nonzero, s, 1.0)
+    np.copyto(xe, 0.0, where=~nonzero)
+    value, d_xe = reference_pairwise_loss(terms, xe)
+    d_h = reference_head_backward(h3, den, r, s, nonzero, d_xe)
+    grads = [None] * 3
+    for layer in (2, 1):
+        p = model.a_norm @ (reference_selu_grad_of_output(hs[layer]) * d_h)
+        grads[layer] = hs[layer - 1].T @ p
+        d_h = p @ model.weights[layer].T
+    grads[0] = ax0.rmatmat(reference_selu_grad_of_output(hs[0]) * d_h)
+    return xe, (value, d_xe), (h3, den, r, s, nonzero), grads
+
+
+@st.composite
+def _encoder_cases(draw):
+    """A random graph, a dense or factored first layer, small widths, a
+    block size and an n that leaves the row products one partial block, a
+    last block of a single row, or anything else; with loss terms."""
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    block_cells = draw(st.sampled_from([1, 5, 8, 17, 40]))
+    # rows per product of h1's upstream gradient P·W1ᵀ, which is n×d1
+    step = max(2, block_cells // dims[0])
+    n = draw(st.one_of(st.integers(2, step),
+                       st.integers(1, 4).map(lambda j: j * step + 1),
+                       st.integers(2, 45)))
+    return (dims, block_cells, n, draw(st.booleans()), draw(st.booleans()),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(settings.get_profile("tier1"), max_examples=120)
+@given(_encoder_cases())
+def test_blocked_encoder_matches_the_whole_array_form(case):
+    dims, block_cells, n, factored, two_terms, seed = case
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, 0.2)
+    t = int(rng.integers(150, 250)) if factored else int(rng.integers(1, 6))
+    x = ((rng.random((n, t)) < 0.02) * rng.choice([-1.0, 0.0, 2.0], size=(n, t))
+         if factored else rng.normal(size=(n, t)))
+    model = GcnModel(g, in_dim=t, hidden_dims=dims, seed=int(rng.integers(1 << 31)))
+    terms = [(PairwiseTarget(random_partition(rng, n, int(rng.integers(1, n + 1)))), w)
+             for w in ((1.0, 0.7) if two_terms else (1.0,))]
+    ax0 = model.propagate(x)
+    assert isinstance(ax0.args[0], LinearOperator) == factored
+    with mock.patch.object(gcn, "_BLOCK_CELLS", block_cells):
+        xe_ref, (value_ref, d_xe_ref), head, grads_ref = reference_forward_backward(
+            model, ax0, terms)
+        xe, cache = model.forward(ax0)
+        assert_same_bits(xe, xe_ref)
+        value, d_xe = pairwise_loss(terms, xe)
+        assert value == value_ref
+        assert_same_bits(d_xe, d_xe_ref)
+        # the head's gradient, recomputed a row block at a time; d_xe stays
+        d_xe_before = d_xe.copy()
+        assert_same_bits(
+            gcn._head_backward(dict(zip(("h3", "den", "r", "s", "nonzero"), head)), d_xe),
+            reference_head_backward(*head, d_xe))
+        assert_same_bits(d_xe, d_xe_before)
+        for got, want in zip(model.backward(cache, d_xe), grads_ref, strict=True):
+            assert_same_bits(got, want)
+        assert_same_bits(d_xe, d_xe_before)
+
+
+_EMBEDDING_CELLS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]),
+                             st.floats(-4.0, 4.0))
+
+
+@settings(settings.get_profile("tier1"), max_examples=150)
+@given(st.integers(1, 40), st.integers(1, 5), st.sampled_from([1, 3, 8, 64]),
+       st.integers(1, 3), st.data())
+def test_gathered_loss_gradient_matches_the_sparse_product(n, d, block_cells, t, data):
+    x = data.draw(hnp.arrays(np.float64, (n, d), elements=_EMBEDDING_CELLS))
+    assignments = [data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, n - 1)))
+                   for _ in range(t)]
+    terms = [(PairwiseTarget(Partition(canonical_labels(a))), w)
+             for a, w in zip(assignments, (1.0, 0.3, 2.5))]
+    with mock.patch.object(gcn, "_BLOCK_CELLS", block_cells):
+        value, grad = pairwise_loss(terms, x)
+    value_ref, grad_ref = reference_pairwise_loss(terms, x)
+    assert value == value_ref
+    assert_same_bits(grad, grad_ref)

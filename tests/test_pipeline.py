@@ -347,7 +347,7 @@ def test_run_refuses_an_encoder_larger_than_memory_before_any_stage(monkeypatch)
     cfg = _small_cfg(hidden_dims=(8, 6, 4))
     need = training_bytes(40, 4, (8, 6, 4))
     # weights, gradients and two Adam moments, and the forward cache
-    assert need == 8 * (4 * (4 * 8 + 8 * 6 + 6 * 4) + 40 * (8 + 6 + 3 * 4 + 3))
+    assert need == 8 * (4 * (4 * 8 + 8 * 6 + 6 * 4) + 40 * (8 + 6 + 4 + 3))
     monkeypatch.setattr(pipeline, "best_of_runs", no_stage)
     monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
     with pytest.raises(DataError) as info:
