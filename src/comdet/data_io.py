@@ -19,7 +19,7 @@ from typing import NoReturn
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, Partition, canonical_labels
+from .graph import Graph, Partition, _check_integer, canonical_labels
 
 __all__ = [
     "DataError",
@@ -27,6 +27,7 @@ __all__ = [
     "SyntheticSpec",
     "adjacency_as_features",
     "generate_synthetic",
+    "load_cora_content",
     "load_dataset",
     "load_partition",
     "write_bundle",
@@ -480,6 +481,10 @@ class SyntheticSpec:
         if self.t < self.k:
             raise DataError(
                 f"need at least one signature column per community: t={self.t} < k={self.k}")
+        try:  # SeedSequence takes no negative entropy
+            _check_integer("seed", self.seed, 0)
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
 
 
 def _block_sizes(n: int, k: int) -> list[int]:

@@ -30,18 +30,17 @@ intermediates are ever whole. SELU, SELU′ (times the upstream gradient) and
 Adam's update each run as one chain of elementwise operations over blocks
 of about ``_BLOCK_CELLS`` cells, so a block's intermediates stay in L2
 cache, and none uses a masked copy. Every blocked form keeps the bits of
-its whole-array form (``selu`` and ``selu_grad`` give the argument; Adam
-keeps its operation order); the row-blocked products assume, as
-``_row_products`` says, that the BLAS gives a row the same bits in any
-block. ``training_bytes`` is the budget for the cache and the weight-sized
-state.
+its whole-array form (``selu`` and ``_selu_grad_of_output``, the one SELU′
+kernel, give the argument; Adam keeps its operation order); the row-blocked
+products assume, as ``_row_products`` says, that the BLAS gives a row the
+same bits in any block. ``training_bytes`` is the budget for the cache and
+the weight-sized state.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -127,31 +126,6 @@ def selu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def selu_grad(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """λ·(1 if z > 0 else α·exp(z)), built in ``out`` (a new buffer by
-    default; ``out=z`` overwrites z).
-
-    Computed block by block, with no masked copy, as
-    λ·(α·exp(min(z, 0)) + (1 − α)·[z > 0]), which has the same bits in
-    float64, the encoder's only dtype: 1 − α is exact and α + (1 − α)
-    rounds to exactly 1 (in float32 it does not), and for z ≤ 0 the added
-    term is −0.0, which changes nothing. The mask stays a comparison of z,
-    since a tiny negative z also gives α·exp(z) = α.
-    """
-    out = np.empty_like(z) if out is None else out
-    zs, gs = np.atleast_1d(z, out)
-    for rows, tmp in _blocks(zs):
-        zb, gb = zs[rows], gs[rows]
-        np.greater(zb, 0.0, out=tmp)  # before gb, which may be zb, is written
-        tmp *= 1.0 - SELU_ALPHA
-        np.minimum(zb, 0.0, out=gb)
-        np.exp(gb, out=gb)
-        gb *= SELU_ALPHA
-        gb += tmp
-        gb *= SELU_LAMBDA
-    return out
-
-
 def _selu_grad_of_output(h: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """SELU′(z) times ``factor`` (of h's shape), read from the activation
     h = selu(z) and built in h, which it returns.
@@ -185,8 +159,7 @@ def normalized_adjacency(g: Graph) -> sp.csr_matrix:
 class GcnModel:
     """Encoder state: normalized adjacency plus three weight matrices."""
 
-    def __init__(self, g: Graph, in_dim: int,
-                 hidden_dims: tuple[int, int, int] = (256, 128, 64),
+    def __init__(self, g: Graph, in_dim: int, hidden_dims: tuple[int, int, int],
                  seed: int = 0) -> None:
         if in_dim < 1:
             raise ValueError("in_dim must be >= 1")
@@ -359,20 +332,14 @@ def _head_backward(cache: dict, d_xe: np.ndarray) -> np.ndarray:
     return d_h3
 
 
-@dataclass
 class AdamState:
-    """Full-batch Adam with bias correction."""
+    """Full-batch Adam with bias correction, from zero moments at step 0."""
 
-    lr: float = 0.001
-    t: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-
-    @classmethod
-    def for_weights(cls, weights: list[np.ndarray], lr: float = 0.001) -> "AdamState":
-        return cls(lr=lr,
-                   m=[np.zeros_like(w) for w in weights],
-                   v=[np.zeros_like(w) for w in weights])
+    def __init__(self, weights: list[np.ndarray], lr: float) -> None:
+        self.lr = lr
+        self.t = 0
+        self.m = [np.zeros_like(w) for w in weights]
+        self.v = [np.zeros_like(w) for w in weights]
 
     def step(self, weights: list[np.ndarray], grads: list[np.ndarray]) -> None:
         """Update ``weights`` in place. Consumes ``grads``: once the moments
@@ -428,8 +395,8 @@ class TrainingDiverged(RuntimeError):
             f"weight norms {['%.3e' % x for x in weight_norms]}")
 
 
-def train(model: GcnModel, ax0: LinearOperator, loss_provider, epochs: int = 300,
-          learning_rate: float = 0.001) -> tuple[GcnModel, list[float]]:
+def train(model: GcnModel, ax0: LinearOperator, loss_provider, epochs: int,
+          learning_rate: float) -> tuple[GcnModel, list[float]]:
     """Optimize the model full-batch from ``ax0 = model.propagate(x)``;
     returns the model and per-epoch losses.
 
@@ -441,7 +408,7 @@ def train(model: GcnModel, ax0: LinearOperator, loss_provider, epochs: int = 300
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
-    adam = AdamState.for_weights(model.weights, lr=learning_rate)
+    adam = AdamState(model.weights, learning_rate)
     trace: list[float] = []
     for epoch in range(epochs):
         xe, cache = model.forward(ax0)

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from comdet.birch import _radius
+from comdet.gcn import SELU_ALPHA, SELU_LAMBDA
 from comdet.graph import Graph, Partition, canonical_labels
 
 try:
@@ -90,6 +91,18 @@ def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
     assert a.dtype == b.dtype, (a.dtype, b.dtype)
     assert a.shape == b.shape, (a.shape, b.shape)
     assert a.tobytes() == b.tobytes(), "values differ in their bits"
+
+
+def reference_selu_grad(z: np.ndarray) -> np.ndarray:
+    """SELU′ of the pre-activation, λ·(1 if z > 0 else α·exp(z)), over the
+    whole array with a masked copy: the oracle for the encoder's kernel,
+    which reads SELU′ from the activation instead."""
+    positive = z > 0
+    g = np.exp(z, out=np.empty_like(z))
+    g *= SELU_ALPHA
+    np.copyto(g, 1.0, where=positive)
+    g *= SELU_LAMBDA
+    return g
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:

@@ -263,6 +263,13 @@ def test_gen_wrong_type_exits_2_naming_the_field(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_gen_negative_seed_exits_2_naming_the_seed(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert main(["gen", "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bare_gen_writes_the_default_spec(tmp_path, capsys):
     assert main(["gen", "--out", str(tmp_path / "cli")]) == 0
     write_bundle(generate_synthetic(SyntheticSpec()), tmp_path / "lib")

@@ -596,6 +596,12 @@ def test_spec_validation():
         SyntheticSpec(n=4, k=5, t=8)
     with pytest.raises(DataError):
         SyntheticSpec(disconnect_fraction=-0.1)
+    for seed, needle in ((-1, "seed must be >= 0, got -1"),
+                         (True, "seed must be an integer, got True"),
+                         (1.5, "seed must be an integer, got 1.5")):
+        with pytest.raises(DataError, match=needle):
+            SyntheticSpec(seed=seed)
+    assert SyntheticSpec(seed=np.int64(3)).seed == 3
 
 
 def test_bundle_write_load_roundtrip(tmp_path):

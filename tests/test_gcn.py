@@ -19,19 +19,20 @@ from comdet.gcn import (
     AdamState,
     GcnModel,
     TrainingDiverged,
+    _selu_grad_of_output,
     load_checkpoint,
     normalized_adjacency,
     save_checkpoint,
     selu,
-    selu_grad,
     train,
     training_bytes,
 )
 from comdet.graph import Graph, Partition, split_into_components
 from comdet.loss import PairwiseTarget, pairwise_loss
+from comdet.pipeline import RunConfig
 
 from conftest import (assert_same_bits, random_connected_graph, random_graph, random_partition,
-                      traced_peak)
+                      reference_selu_grad, traced_peak)
 
 gcn_module = importlib.import_module("comdet.gcn")
 
@@ -41,8 +42,9 @@ def test_selu_hand_values():
     assert selu(np.array(1.0)) == pytest.approx(SELU_LAMBDA, rel=1e-15)
     assert selu(np.array(-2.0)) == pytest.approx(
         SELU_LAMBDA * SELU_ALPHA * math.expm1(-2.0), rel=1e-15)
-    assert selu_grad(np.array(3.0)) == pytest.approx(SELU_LAMBDA, rel=1e-15)
-    assert selu_grad(np.array(-1.0)) == pytest.approx(
+    assert _selu_grad_of_output(selu(np.array(3.0)), 1) == pytest.approx(
+        SELU_LAMBDA, rel=1e-15)
+    assert _selu_grad_of_output(selu(np.array(-1.0)), 1) == pytest.approx(
         SELU_LAMBDA * SELU_ALPHA * math.exp(-1.0), rel=1e-15)
 
 
@@ -51,7 +53,7 @@ def test_selu_grad_matches_finite_differences():
     z = np.linspace(-3, 3, 30)
     h = 1e-6
     fd = (selu(z + h) - selu(z - h)) / (2 * h)
-    assert np.allclose(selu_grad(z), fd, atol=1e-8)
+    assert np.allclose(_selu_grad_of_output(selu(z), 1), fd, atol=1e-8)
 
 
 def test_normalized_adjacency_path():
@@ -306,7 +308,7 @@ def _dense_reference(model: GcnModel, x: np.ndarray, d_xe_of):
     d_h = gcn_module._head_backward(dict(h3=h, den=den, r=r, s=s, nonzero=nonzero), d_xe)
     grads = [None] * 3
     for layer in (2, 1, 0):
-        dz = selu_grad(zs[layer]) * d_h
+        dz = reference_selu_grad(zs[layer]) * d_h
         grads[layer] = ahs[layer].T @ dz
         d_h = a @ (dz @ model.weights[layer].T)
     return xe, d_xe, grads
@@ -340,7 +342,7 @@ def test_gradients_match_the_dense_earlier_order():
 
 def test_propagate_keeps_dense_attributes_dense():
     bundle = generate_synthetic(SyntheticSpec(seed=42))
-    model = GcnModel(bundle.graph, in_dim=bundle.t, seed=0)
+    model = GcnModel(bundle.graph, bundle.t, RunConfig().hidden_dims, seed=0)
     ax0 = model.propagate(bundle.attributes)
     assert not _factored(ax0)
     assert np.array_equal(ax0 @ model.weights[0],
@@ -349,7 +351,7 @@ def test_propagate_keeps_dense_attributes_dense():
     rng = np.random.default_rng(71)
     g = random_connected_graph(rng, 50, 0.1)
     x = (rng.random((50, 200)) < 0.5).astype(np.float64)
-    model = GcnModel(g, in_dim=200, seed=0)
+    model = GcnModel(g, 200, RunConfig().hidden_dims, seed=0)
     assert not _factored(model.propagate(x))
     assert not _factored(model.propagate(sp.csr_matrix(x)))
 
@@ -373,7 +375,7 @@ def test_train_reduces_loss():
 def _train_fixture():
     bundle = generate_synthetic(SyntheticSpec(n=4000, k=8, p_in=0.01, p_out=0.0005,
                                               t=32, seed=5))
-    model = GcnModel(bundle.graph, in_dim=bundle.t, seed=0)
+    model = GcnModel(bundle.graph, bundle.t, RunConfig().hidden_dims, seed=0)
     return bundle, model, model.propagate(bundle.attributes)
 
 
@@ -384,7 +386,7 @@ def test_train_peak_memory_stays_near_training_bytes():
     bundle, model, ax0 = _train_fixture()
     target = PairwiseTarget(bundle.labels)
     (_, trace), peak = traced_peak(
-        lambda: train(model, ax0, lambda xe: pairwise_loss([(target, 1.0)], xe), epochs=3))
+        lambda: train(model, ax0, lambda xe: pairwise_loss([(target, 1.0)], xe), 3, 1e-3))
     assert len(trace) == 3
     assert peak < 1.4 * training_bytes(bundle.n, bundle.t, model.hidden_dims)
 
@@ -398,7 +400,7 @@ def test_two_term_training_holds_four_embedding_sized_arrays_beside_the_cache():
     terms = [(PairwiseTarget(bundle.labels), 1.0),
              (PairwiseTarget(split_into_components(bundle.graph, bundle.labels)), 0.5)]
     (_, trace), peak = traced_peak(
-        lambda: train(model, ax0, lambda xe: pairwise_loss(terms, xe), epochs=3))
+        lambda: train(model, ax0, lambda xe: pairwise_loss(terms, xe), 3, 1e-3))
     assert len(trace) == 3
     d1, d2, d3 = model.hidden_dims
     weights = bundle.t * d1 + d1 * d2 + d2 * d3
@@ -416,7 +418,7 @@ def test_train_zero_epochs_and_zero_lr_keep_weights():
         value, grad = pairwise_loss([(target, 1.0), (target, 1.0)], xe)
         return value, grad
 
-    _, trace = train(model, model.propagate(x), provider, epochs=0)
+    _, trace = train(model, model.propagate(x), provider, epochs=0, learning_rate=1e-3)
     assert trace == []
     assert all(np.array_equal(a, b) for a, b in zip(model.weights, before))
 
@@ -434,7 +436,8 @@ def test_training_diverged_carries_diagnostics():
         return float("inf"), np.zeros_like(xe)
 
     with pytest.raises(TrainingDiverged) as info:
-        train(model, model.propagate(np.ones((2, 1))), exploding, epochs=10)
+        train(model, model.propagate(np.ones((2, 1))), exploding, epochs=10,
+              learning_rate=1e-3)
     err = info.value
     assert err.epoch == 0
     assert math.isinf(err.loss)
@@ -463,7 +466,8 @@ def test_train_is_deterministic():
     runs = []
     for _ in range(2):
         model = GcnModel(g, in_dim=4, hidden_dims=(5, 4, 3), seed=21)
-        model, trace = train(model, model.propagate(x), provider, epochs=25)
+        model, trace = train(model, model.propagate(x), provider, epochs=25,
+                             learning_rate=1e-3)
         runs.append((trace, [w.copy() for w in model.weights]))
     assert runs[0][0] == runs[1][0]
     assert all(np.array_equal(a, b) for a, b in zip(runs[0][1], runs[1][1]))
@@ -471,7 +475,7 @@ def test_train_is_deterministic():
 
 def test_adam_single_step_hand_case():
     w = [np.array([[1.0]])]
-    adam = AdamState.for_weights(w, lr=0.001)
+    adam = AdamState(w, lr=0.001)
     adam.step(w, [np.array([[0.5]])])
     m_hat = (0.1 * 0.5) / (1 - 0.9)
     v_hat = (0.001 * 0.25) / (1 - 0.999)
@@ -564,7 +568,7 @@ def test_forward_rejects_raw_attributes():
 def test_constructor_validation():
     g = Graph(2, [(0, 1)])
     with pytest.raises(ValueError):
-        GcnModel(g, in_dim=0)
+        GcnModel(g, in_dim=0, hidden_dims=(2, 2, 2))
     with pytest.raises(ValueError):
         GcnModel(g, in_dim=2, hidden_dims=(2, 2))  # type: ignore[arg-type]
     with pytest.raises(ValueError):

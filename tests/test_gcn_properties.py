@@ -1,6 +1,6 @@
 """Bit-for-bit property tests of the encoder's blocked elementwise passes.
 
-``selu``, ``selu_grad`` and ``AdamState.step`` run over blocks of about
+``selu`` and ``AdamState.step`` run over blocks of about
 ``gcn._BLOCK_CELLS`` cells with no masked copy. Each must give the bytes of
 its whole-array, masked reference form below, on 0-d, 1-d, 2-d and
 non-contiguous inputs, with ``out=z``, on arrays one block long give or take
@@ -9,10 +9,11 @@ z > 710 (``expm1`` overflows) and −1e-17 (``exp`` rounds to 1). The block
 size is patched small so that arrays span many blocks.
 
 The backward pass reads SELU′ from the activation h = selu(z), times the
-upstream gradient, in h's own cells. That kernel must give the bytes of
-``np.where(h > 0, λ, h + λα)`` (times the gradient), and lie within 4 ulp
-of λα of ``selu_grad(z)``, on the same layouts and also on z below −40,
-where ``selu(z) + λα`` cancels to a few ulp.
+upstream gradient, in h's own cells; that kernel is the encoder's only
+SELU′. It must give the bytes of ``np.where(h > 0, λ, h + λα)`` (times the
+gradient), and lie within 4 ulp of λα of the masked SELU′ of z
+(``reference_selu_grad`` in conftest.py), on the same layouts and also on z
+below −40, where ``selu(z) + λα`` cancels to a few ulp.
 
 The whole encoder keeps those bits too. With the block size patched small,
 the embedding, the loss gradient, the head's gradient (recomputed a row
@@ -55,12 +56,11 @@ from comdet.gcn import (
     GcnModel,
     _selu_grad_of_output,
     selu,
-    selu_grad,
 )
 from comdet.graph import Partition, canonical_labels
 from comdet.loss import PairwiseTarget, pairwise_loss
 
-from conftest import assert_same_bits, random_graph, random_partition
+from conftest import assert_same_bits, random_graph, random_partition, reference_selu_grad
 
 gcn = importlib.import_module("comdet.gcn")
 
@@ -75,16 +75,6 @@ def reference_selu(z: np.ndarray) -> np.ndarray:
     np.copyto(h, z, where=z > 0)
     h *= SELU_LAMBDA
     return h
-
-
-def reference_selu_grad(z: np.ndarray) -> np.ndarray:
-    """λ·(1 if z > 0 else α·exp(z)) over the whole array, with a masked copy."""
-    positive = z > 0
-    g = np.exp(z, out=np.empty_like(z))
-    g *= SELU_ALPHA
-    np.copyto(g, 1.0, where=positive)
-    g *= SELU_LAMBDA
-    return g
 
 
 def reference_adam_step(adam: AdamState, weights, grads) -> None:
@@ -156,23 +146,6 @@ def test_selu_matches_the_masked_reference(case):
         assert_same_bits(overwritten, want)
 
 
-@settings(settings.get_profile("tier1"), max_examples=300)
-@given(_inputs())
-def test_selu_grad_matches_the_masked_reference(case):
-    base, view, block_cells = case
-    z = view(base)
-    with mock.patch.object(gcn, "_BLOCK_CELLS", block_cells), np.errstate(over="ignore"):
-        expected = reference_selu_grad(z)
-        assert_same_bits(selu_grad(z), expected)
-        # out=z writes z's own cells and nothing else of its base
-        overwritten = base.copy()
-        zv = view(overwritten)
-        assert selu_grad(zv, out=zv) is zv
-        want = base.copy()
-        view(want)[...] = expected
-        assert_same_bits(overwritten, want)
-
-
 def reference_selu_grad_of_output(h: np.ndarray) -> np.ndarray:
     """SELU′ read from the activation h = selu(z): λ where h > 0, else h + λα."""
     return np.where(h > 0, SELU_LAMBDA, h + SELU_LAMBDA * SELU_ALPHA)
@@ -188,13 +161,13 @@ def test_selu_grad_read_from_the_activation(case, seed):
     base, view, block_cells = case
     z = view(base)
     factor = np.asarray(np.random.default_rng(seed).standard_normal(z.shape))
-    with mock.patch.object(gcn, "_BLOCK_CELLS", block_cells):
+    with mock.patch.object(gcn, "_BLOCK_CELLS", block_cells), np.errstate(over="ignore"):
         h = selu(z)
         expected = reference_selu_grad_of_output(h)
         got = h.copy()
         assert _selu_grad_of_output(got, np.ones_like(h)) is got
         assert_same_bits(got, expected)
-        assert np.all(np.abs(expected - selu_grad(z))
+        assert np.all(np.abs(expected - reference_selu_grad(z))
                       <= 4 * np.spacing(SELU_LAMBDA * SELU_ALPHA))
         # times the upstream gradient, in the activation's own cells and no
         # others of its base
@@ -213,10 +186,10 @@ def test_special_values_keep_their_bits(block_cells):
     with mock.patch.object(gcn, "_BLOCK_CELLS", block_cells), np.errstate(over="ignore"):
         for cells in (z, grid, grid[::2], grid.T):
             assert_same_bits(selu(cells), reference_selu(cells))
-            assert_same_bits(selu_grad(cells), reference_selu_grad(cells))
-            overwritten = cells.copy()
-            selu_grad(overwritten, out=overwritten)
-            assert_same_bits(overwritten, reference_selu_grad(cells))
+            h = reference_selu(cells)
+            overwritten = h.copy()
+            _selu_grad_of_output(overwritten, np.ones_like(h))
+            assert_same_bits(overwritten, reference_selu_grad_of_output(h))
             overwritten = cells.copy()
             selu(overwritten, out=overwritten)
             assert_same_bits(overwritten, reference_selu(cells))
@@ -248,7 +221,7 @@ def _adam_runs(draw):
 def test_adam_matches_the_reference_step_over_several_steps(run):
     weights, grads, lr, block_cells = run
     got_w, want_w = [w.copy() for w in weights], [w.copy() for w in weights]
-    got, want = AdamState.for_weights(got_w, lr=lr), AdamState.for_weights(want_w, lr=lr)
+    got, want = AdamState(got_w, lr), AdamState(want_w, lr)
     with mock.patch.object(gcn, "_BLOCK_CELLS", block_cells), np.errstate(all="ignore"):
         for step_grads in grads:
             got.step(got_w, [g.copy() for g in step_grads])
