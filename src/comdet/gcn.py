@@ -384,14 +384,17 @@ def training_bytes(n: int, in_dim: int, hidden_dims: tuple[int, int, int]) -> in
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss stops being finite; carries a diagnostic snapshot."""
+    """Raised when the loss stops being finite, or an epoch's arithmetic
+    overflows, divides by zero or turns invalid (``reason`` then holds
+    numpy's message and ``loss`` is nan); carries a diagnostic snapshot."""
 
-    def __init__(self, epoch: int, loss: float, weight_norms: list[float]) -> None:
+    def __init__(self, epoch: int, loss: float, weight_norms: list[float],
+                 reason: str | None = None) -> None:
         self.epoch = epoch
         self.loss = loss
         self.weight_norms = weight_norms
         super().__init__(
-            f"non-finite loss {loss!r} at epoch {epoch}; "
+            f"{reason or f'non-finite loss {loss!r}'} at epoch {epoch}; "
             f"weight norms {['%.3e' % x for x in weight_norms]}")
 
 
@@ -404,24 +407,34 @@ def train(model: GcnModel, ax0: LinearOperator, loss_provider, epochs: int,
     Zero epochs (or a zero learning rate) leave the weights untouched. Each
     epoch's backward consumes its forward cache, and the epoch drops its
     embedding and gradients before the next forward, so only one cache is
-    alive at a time.
+    alive at a time. An epoch runs with numpy's overflow, divide and invalid
+    flags raising, so an attribute near the float64 limit stops training
+    with :class:`TrainingDiverged` instead of a warning and a degenerate
+    embedding.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     adam = AdamState(model.weights, learning_rate)
     trace: list[float] = []
     for epoch in range(epochs):
-        xe, cache = model.forward(ax0)
-        loss, d_xe = loss_provider(xe)
-        del xe  # backward needs only the cache and d_xe
-        if not np.isfinite(loss):
-            raise TrainingDiverged(epoch, float(loss),
-                                   [float(np.linalg.norm(w)) for w in model.weights])
-        adam.step(model.weights, model.backward(cache, d_xe))
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                xe, cache = model.forward(ax0)
+                loss, d_xe = loss_provider(xe)
+                del xe  # backward needs only the cache and d_xe
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(epoch, float(loss), _weight_norms(model))
+                adam.step(model.weights, model.backward(cache, d_xe))
+        except FloatingPointError as exc:
+            raise TrainingDiverged(epoch, np.nan, _weight_norms(model), str(exc)) from exc
         # nothing n×d outlives its epoch: backward emptied the cache
         del cache, d_xe
         trace.append(float(loss))
     return model, trace
+
+
+def _weight_norms(model: GcnModel) -> list[float]:
+    return [float(np.linalg.norm(w)) for w in model.weights]
 
 
 def save_checkpoint(model: GcnModel, path) -> None:

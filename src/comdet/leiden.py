@@ -9,13 +9,14 @@ pass changes nothing. Move gains are compared in exact integer arithmetic
 (gain scaled by 4*m^2 is an integer on integer-weighted graphs), so runs are
 bit-deterministic for a given seed.
 
-Two shortcuts keep every decision and every draw of the generator while
-skipping Python work. Local moving asks :func:`_movers`, an int64 numpy
-check of all nodes at once, which nodes would move, and does not attempt the
-ones before the first of them; a check that finds none certifies the
-fixpoint without a sweep. A refinement draw (:func:`_draw`) places its
-uniform in a cumulative sum built in plain Python and falls back to numpy's
-steps only when rounding could put it on the other side of a boundary.
+Local moving skips Python work without changing a decision: it asks
+:func:`_movers`, an int64 numpy check of all nodes at once, which nodes would
+move, and does not attempt the ones before the first of them; a check that
+finds none certifies the fixpoint without a sweep. A refinement draw
+(:func:`_draw`) is a plain-Python cumulative draw from one uniform. It
+matched numpy's ``Generator.choice`` on every draw measured; the two can
+differ only for a uniform within about ``8 * (k + 4) * 2**-53`` of a
+boundary, for ``k`` candidates.
 """
 
 from __future__ import annotations
@@ -219,42 +220,19 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> N
             return
 
 
-_DRAW_SLACK = 8 * 2.0**-53  # _draw's rounding bound is _DRAW_SLACK * (k + 4) for k candidates
-
-
 def _draw(gains: list[float], theta: float, rng: np.random.Generator) -> int:
     """Index drawn with probability proportional to exp(gain / theta).
 
-    Gives the index and generator state of ``rng.choice(len(gains),
-    p=p / p.sum())`` bit for bit: one ``rng.random()`` value ``u`` is placed
-    among the normalized cumulative weights. Those weights are built here in
-    Python (``math.exp``, then a running sum, each divided by the total),
-    and the index is returned when ``u`` lies more than
-    ``8 * (k + 4) * 2**-53`` from every boundary, for ``k`` candidates.
-    Otherwise :func:`_numpy_draw` places the same ``u`` by numpy's steps.
-
-    Why the bound holds. Let ``e_j = exp(x_j)`` for the exact shifted logits
-    ``x_j <= 0`` (both paths compute them identically, and the largest is 1)
-    and ``R_i = P_i / P_k`` with ``P_i = e_1 + ... + e_i``. With unit
-    roundoff ``u0 = 2**-53``, and allowing either library's ``exp`` an
-    error of 4 ulp (8 u0 relative):
-
-    - numpy scales each weight by ``1 / sum`` (one rounding each), sums
-      them in order (``cumsum``; relative error at most ``(i - 1) u0`` at
-      prefix ``i``), and divides by the last prefix (one rounding). The
-      scale cancels in the ratio, so its boundary ``B_i`` is within
-      ``R_i (2 * (8 + 1) + (i - 1) + (k - 1) + 1) u0`` of ``R_i``;
-    - the Python boundary ``b_i`` skips the scaling and is within
-      ``R_i (2 * 8 + (i - 1) + (k - 1) + 1) u0``.
-
-    With ``R_i <= 1`` and ``i <= k`` that gives
-    ``|B_i - b_i| <= (4k + 32) u0 <= 8 (k + 4) u0``, up to terms of order
-    ``k**2 u0**2``. Weights that underflow to subnormals break the
-    relative bounds but add at most ``k * 2**-1074`` in absolute terms,
-    far inside the slack. So when ``u`` is farther than the bound from
-    ``b_i``, it lies on the same side of ``B_i``, and ``searchsorted``
-    counts the same boundaries; the boundaries ascend, so checking the two
-    around ``u`` suffices.
+    One ``rng.random()`` value ``u`` is placed among the normalized
+    cumulative weights, built in plain Python: ``math.exp`` of each logit
+    less the largest, a running sum, and each prefix divided by the total.
+    The index is the first whose boundary ``cum[i] / total`` lies above
+    ``u``, so a ``u`` on a boundary goes right, as ``searchsorted(side=
+    "right")`` places it. ``rng.choice(len(gains), p=p / p.sum())`` reads
+    the same one uniform and gave the same index on every draw measured;
+    numpy rounds its boundaries in other steps, so the two can differ only
+    for a ``u`` within about ``8 * (k + 4) * 2**-53`` of a boundary, for
+    ``k`` candidates.
     """
     u = rng.random()
     logits = [g / theta for g in gains]
@@ -267,21 +245,7 @@ def _draw(gains: list[float], theta: float, rng: np.random.Generator) -> int:
     index = 0  # boundaries at or below u; the last, total / total, is 1 > u
     while cum[index] / total <= u:
         index += 1
-    bound = _DRAW_SLACK * (len(gains) + 4)
-    if cum[index] / total - u <= bound or (index and u - cum[index - 1] / total <= bound):
-        return _numpy_draw(gains, theta, u)
     return index
-
-
-def _numpy_draw(gains: list[float], theta: float, u: float) -> int:
-    """Place ``u`` by the steps of ``Generator.choice``: normalise, cumulative
-    sum rescaled to end at 1, then ``searchsorted``."""
-    logits = np.asarray(gains) / theta
-    p = np.exp(logits - logits.max())
-    p /= p.sum()
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(u, side="right"))
 
 
 def _refine(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> list[int]:

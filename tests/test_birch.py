@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from comdet.birch import BirchConfig, _radius, birch_cluster
+from comdet.birch import BirchConfig, _Node, _radius, _split, birch_cluster
 from comdet.graph import Partition
 
 from conftest import ClusteringFeature
@@ -119,6 +119,20 @@ def test_single_child_split_half_keeps_its_own_statistics():
     x = np.array([[10.0], [1.0], [6.0], [4.0], [2.0]])
     p = birch_cluster(x, BirchConfig(threshold_radius=1.0, branching_factor=2))
     assert p.assignment.tolist() == [0, 2, 1, 3, 2]
+
+
+def test_split_seeds_on_the_first_of_tied_farthest_pairs():
+    # children at the corners of a unit square: the diagonals (0, 2) and
+    # (1, 3) tie as the farthest pair, and the first seeds the split; the
+    # other two corners are equally near both seeds and go to the first
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    node = _Node(True, np.ones(4), corners.copy(), (corners * corners).sum(axis=1),
+                 [[0], [1], [2], [3]])
+    n, ls, ss, halves = _split(node)
+    assert [h.children for h in halves] == [[[0], [1], [3]], [[2]]]
+    assert n.tolist() == [3.0, 1.0]
+    assert ls.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    assert ss.tolist() == [2.0, 2.0]
 
 
 def test_seeded_partition_is_pinned():

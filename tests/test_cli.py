@@ -67,6 +67,27 @@ def test_runtime_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "pipeline stage 'train' failed: loss overflow" in capsys.readouterr().err
 
 
+def test_attribute_near_the_float64_limit_exits_3_naming_the_epoch(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["gen", "--n", "24", "--k", "3", "--t", "4", "--p-in", "0.5",
+                 "--p-out", "0.05", "--seed", "3", "--out", str(data)]) == 0
+    attrs = data / "attrs.csv"
+    rows = attrs.read_text().split("\n")
+    cells = rows[0].split(",")
+    cells[1] = "1e300"
+    rows[0] = ",".join(cells)
+    attrs.write_text("\n".join(rows))
+    capsys.readouterr()
+    code = main(["detect", "--edges", str(data / "edges.tsv"), "--attrs", str(attrs),
+                 "--labels", str(data / "labels.tsv"), "--epochs", "20",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "pipeline stage 'train' failed: overflow" in err
+    assert "at epoch 0" in err
+    assert not (tmp_path / "o" / "metrics.json").exists()
+
+
 def test_unwritable_save_model_exits_2_naming_the_flag(tmp_path, capsys):
     data = _fixture(tmp_path, n=60)
     model = tmp_path / "model.bin"

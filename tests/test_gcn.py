@@ -445,6 +445,25 @@ def test_training_diverged_carries_diagnostics():
     assert "epoch 0" in str(err)
 
 
+def test_training_overflow_raises_diverged_naming_the_epoch():
+    """An attribute near the float64 limit overflows the head's den ** 2:
+    the epoch stops with TrainingDiverged carrying numpy's message, not a
+    RuntimeWarning and a degenerate embedding."""
+    g = Graph(3, [(0, 1), (1, 2)])
+    model = GcnModel(g, in_dim=2, hidden_dims=(3, 3, 2), seed=11)
+    x = np.ones((3, 2))
+    x[0, 0] = 1e300
+    target = PairwiseTarget(Partition([0, 0, 1]))
+    with pytest.raises(TrainingDiverged) as info:
+        train(model, model.propagate(x), lambda xe: pairwise_loss([(target, 1.0)], xe),
+              epochs=5, learning_rate=1e-3)
+    err = info.value
+    assert err.epoch == 0
+    assert math.isnan(err.loss)
+    assert isinstance(err.__cause__, FloatingPointError)
+    assert "overflow" in str(err) and "at epoch 0" in str(err)
+
+
 def test_init_is_deterministic_given_seed():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     m1 = GcnModel(g, in_dim=3, hidden_dims=(4, 3, 2), seed=9)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -287,9 +289,10 @@ def test_refine_orders_candidates_ascending():
 
 
 def test_draw_matches_generator_choice():
-    """``_draw`` gives the same index and generator state as the
-    ``Generator.choice`` call it replaces, over random exp(gain / theta)
-    weights, with ties, as ``_refine`` builds them."""
+    """``_draw`` gives the same index and generator state as
+    ``Generator.choice`` with the same weights, over random exp(gain / theta)
+    weights, with ties, as ``_refine`` builds them. Random uniforms land far
+    from every boundary, so the two roundings of the boundaries agree."""
     meta = np.random.default_rng(77)
     for trial in range(5000):
         k = int(meta.integers(2, 41))
@@ -550,42 +553,43 @@ def test_local_move_ends_at_a_fixpoint_on_aggregated_levels():
 
 
 class _FixedUniform:
-    """Generator stand-in whose ``random()`` returns one fixed value."""
+    """Generator stand-in whose ``random()`` returns one fixed value and
+    counts its calls."""
 
     def __init__(self, u: float) -> None:
         self.u = u
+        self.calls = 0
 
     def random(self) -> float:
+        self.calls += 1
         return self.u
 
 
-def test_draw_falls_back_to_numpy_at_every_boundary(monkeypatch):
-    """A uniform on a boundary of numpy's cumulative weights, or one ulp to
-    either side, is too close to certify: ``_draw`` places it by numpy's
-    steps, and gets numpy's index, every time."""
-    fallbacks = []
-    numpy_draw = leiden_module._numpy_draw
-    monkeypatch.setattr(leiden_module, "_numpy_draw",
-                        lambda *args: fallbacks.append(args) or numpy_draw(*args))
+def test_draw_places_a_uniform_on_a_boundary_to_its_right():
+    """A uniform on a boundary ``cum[i] / total`` of the draw's cumulative
+    weights, or one ulp to either side, lands where ``searchsorted(side=
+    "right")`` puts it: on a boundary it goes right. Each draw reads
+    ``random()`` exactly once."""
     meta = np.random.default_rng(88)
-    calls = 0
+    checked = 0
     for trial in range(300):
         k = int(meta.integers(2, 30))
         two_m = int(meta.integers(2, 10**5))
         ints = meta.integers(0, two_m**2, k)
         if trial % 2:
-            ints = meta.choice(ints[:3], k)  # tied gains, equal boundaries steps
+            ints = meta.choice(ints[:3], k)  # tied gains, equal boundary steps
         gains = [float(x) * (2.0 / float(two_m) ** 2) for x in ints]
         theta = float(meta.choice([0.01, meta.uniform(1e-4, 1.0)]))
-        logits = np.asarray(gains) / theta
-        p = np.exp(logits - logits.max())
-        p /= p.sum()
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        for b in cdf[:-1]:
+        logits = [g / theta for g in gains]
+        cum = list(itertools.accumulate(math.exp(x - max(logits)) for x in logits))
+        bounds = np.array([c / cum[-1] for c in cum])
+        for b in bounds[:-1]:
             for u in {np.nextafter(b, 0.0), b, np.nextafter(b, 1.0)} - {1.0}:
-                want = int(cdf.searchsorted(u, side="right"))
-                assert _draw(gains, theta, _FixedUniform(float(u))) == want
-                calls += 1
-    assert calls > 3000
-    assert len(fallbacks) == calls
+                rng = _FixedUniform(float(u))
+                assert _draw(gains, theta, rng) == int(bounds.searchsorted(u, side="right"))
+                assert rng.calls == 1
+                checked += 1
+    assert checked > 3000
+    # two equal weights: the boundary 0.5 itself belongs to the second
+    assert _draw([0.0, 0.0], 1.0, _FixedUniform(0.5)) == 1
+    assert _draw([0.0, 0.0], 1.0, _FixedUniform(np.nextafter(0.5, 0.0))) == 0
