@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -98,37 +99,37 @@ def _read_text(path) -> str:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
-def _data_text(path) -> str:
-    """The data lines of ``path``, each ending in ``\\n``: blank lines and ``#``
-    comments are dropped, and lines break where ``str.splitlines`` breaks them.
-    Line numbers are not kept; only ``_numbered_lines`` counts them.
-
-    A file with none of those and no ``\\x1f`` comes back as read, which saves
-    a copy of every line: ``str.split`` and ``float()`` skip the whitespace
-    around a field as ``str.strip`` would."""
-    text = _read_text(path)
-    head = text[:text.find("\n") + 1]  # the first line, "" if there is no newline
-    if (any(c in text for c in _IRREGULAR) or _SKIPPED.match("\n" + head)
-            or _SKIPPED.search(text, 0, len(text) - text.endswith("\n"))):
-        return "".join(f"{stripped}\n" for line in text.splitlines()
-                       if (stripped := line.strip()) and not stripped.startswith("#"))
-    return text if text.endswith("\n") else text + "\n"
-
-
-def _numbered_lines(path):
-    """``(line number, stripped text)`` of every data line, read again only
-    to name a fault: blank lines and ``#`` comments are skipped."""
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
+def _data_lines(text: str):
+    """``(line number, stripped text)`` of every data line of ``text``: lines
+    break where ``str.splitlines`` breaks them, and blank lines and ``#``
+    comments are skipped."""
+    for lineno, line in enumerate(text.splitlines(), 1):
         if (stripped := line.strip()) and not stripped.startswith("#"):
             yield lineno, stripped
 
 
-def _numbered_rows(path, kind: str, shape: str):
-    """``(line number, fields)`` of every data line, each holding the
-    whitespace-separated fields of ``shape``; raises at the first that does not."""
+def _data_text(text: str) -> str:
+    """The data lines of ``text`` (see ``_data_lines``), each ending in
+    ``\\n``. Line numbers are not kept.
+
+    A text with none of the lines ``_data_lines`` skips, no line break but
+    ``\\n`` and no ``\\x1f`` comes back as read, which saves a copy of every
+    line: ``str.split`` and ``float()`` skip the whitespace around a field
+    as ``str.strip`` would."""
+    head = text[:text.find("\n") + 1]  # the first line, "" if there is no newline
+    if (any(c in text for c in _IRREGULAR) or _SKIPPED.match("\n" + head)
+            or _SKIPPED.search(text, 0, len(text) - text.endswith("\n"))):
+        return "".join(f"{stripped}\n" for _, stripped in _data_lines(text))
+    return text if text.endswith("\n") else text + "\n"
+
+
+def _numbered_rows(path, text: str, kind: str, shape: str):
+    """``(line number, fields)`` of every data line of ``text``, read from
+    ``path``, each holding the whitespace-separated fields of ``shape``;
+    raises at the first that does not."""
     width = len(shape.split())
-    for lineno, text in _numbered_lines(path):
-        row = text.split()
+    for lineno, stripped in _data_lines(text):
+        row = stripped.split()
         if len(row) != width:
             raise DataError(f"{path}:{lineno}: {kind} lines must be {shape!r}, got {row!r}")
         yield lineno, row
@@ -216,7 +217,7 @@ def _codes(labels: list[str]) -> np.ndarray:
 def _label_fault(path) -> None:
     """Raise at the first label line of another width or repeated id."""
     seen: set[str] = set()
-    for lineno, (node, _) in _numbered_rows(path, "label", "id label"):
+    for lineno, (node, _) in _numbered_rows(path, _read_text(path), "label", "id label"):
         if node in seen:
             raise DataError(f"{path}:{lineno}: duplicate node id {node!r}")
         seen.add(node)
@@ -227,7 +228,7 @@ def _load_labels(path) -> tuple[list[str], dict[str, int], np.ndarray]:
     fault = _faulter(_label_fault, path)
     nodes: list[str] = []
     labels: list[str] = []
-    for node_col, label_col in _columns(_data_text(path), 2, fault):
+    for node_col, label_col in _columns(_data_text(_read_text(path)), 2, fault):
         nodes += node_col
         labels += label_col
     index = dict(zip(nodes, range(len(nodes))))
@@ -240,14 +241,15 @@ def _load_labels(path) -> tuple[list[str], dict[str, int], np.ndarray]:
 
 def _edge_fault(path, index: dict[str, int]) -> None:
     """Raise at the first edge line of another width, else name the unknown ends."""
-    _check_known(path, "edge endpoints", [node for _, row in _numbered_rows(path, "edge", "u v")
-                                          for node in row if node not in index])
+    rows = _numbered_rows(path, _read_text(path), "edge", "u v")
+    _check_known(path, "edge endpoints", [node for _, row in rows for node in row
+                                          if node not in index])
 
 
 def _load_edges(path, index: dict[str, int], n: int) -> tuple[Graph, list[str]]:
     fault = _faulter(_edge_fault, path, index)
     ends = [np.column_stack([_positions(index, us, fault), _positions(index, vs, fault)])
-            for us, vs in _columns(_data_text(path), 2, fault)]
+            for us, vs in _columns(_data_text(_read_text(path)), 2, fault)]
     g = Graph(n, np.concatenate(ends) if ends else np.empty((0, 2), np.int64))
     notes = []
     if g.dropped_self_loops:
@@ -278,7 +280,7 @@ def _csv_fault(path, index: dict[str, int], n: int) -> None:
     seen = np.zeros(n, dtype=bool)
     unknown: list[str] = []
     width = None
-    for lineno, text in _numbered_lines(path):
+    for lineno, text in _data_lines(_read_text(path)):
         node = text.partition(",")[0].strip()
         i = index.get(node)
         if i is None:
@@ -353,37 +355,29 @@ def _load_dense_csv(path, text: str, index: dict[str, int], n: int) -> sp.csr_ma
     return x[np.argsort(order)]
 
 
-def _triplet_fault(path, index: dict[str, int]) -> None:
-    """Raise at the first bad triplet line, else name the unknown ids."""
+def _load_triplets(path, text: str, index: dict[str, int], n: int) -> sp.csr_matrix:
+    """Sparse 'id index value' lines as CSR, checked and gathered a line at
+    a time: the first bad line raises, else the unknown ids are named."""
+    rows, cols, vals = array("q"), array("q"), array("d")
     unknown: list[str] = []
-    for lineno, row in _numbered_rows(path, "sparse attribute", "id index value"):
-        if row[0] not in index:
+    for lineno, row in _numbered_rows(path, text, "sparse attribute", "id index value"):
+        i = index.get(row[0])
+        if i is None:
             unknown.append(row[0])
             continue
         try:
-            j, _ = int(row[1]), float(row[2])
+            j, v = int(row[1]), float(row[2])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad triplet {row!r} ({exc})") from exc
         if j < 0:
             raise DataError(f"{path}:{lineno}: negative attribute index in {row!r}")
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
     _check_known(path, "attribute ids", unknown)
-
-
-def _load_triplets(path, text: str, index: dict[str, int], n: int) -> sp.csr_matrix:
-    fault = _faulter(_triplet_fault, path, index)
-    rows, cols, vals = [], [], []
-    for ids, js, vs in _columns(text, 3, fault):
-        rows.append(_positions(index, ids, fault))
-        try:
-            cols.append(np.fromiter(map(int, js), np.int64, len(js)))
-            vals.append(np.array(vs, dtype=np.float64))  # as float() reads each
-        except ValueError:
-            fault()
-        if cols[-1].min() < 0:
-            fault()
     if not rows:
         raise DataError(f"{path}: no attribute entries found")
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    rows, cols, vals = map(np.asarray, (rows, cols, vals))  # views of the buffers
     _check_covered(path, index, np.bincount(rows, minlength=n) > 0)
     _check_finite(path, vals)  # an overwritten value too
     order = np.lexsort((cols, rows))  # stable: a repeated pair keeps file order
@@ -395,10 +389,10 @@ def _load_triplets(path, text: str, index: dict[str, int], n: int) -> sp.csr_mat
 
 def _load_attributes(path, index: dict[str, int], n: int) -> sp.csr_matrix:
     """Dense CSV rows or sparse triplets, as CSR."""
-    text = _data_text(path)
+    text = _read_text(path)
     # dense CSV rows carry commas; sparse triplet rows are whitespace-only
-    if "," in text:
-        return _load_dense_csv(path, text, index, n)
+    if "," in (data := _data_text(text)):
+        return _load_dense_csv(path, data, index, n)
     return _load_triplets(path, text, index, n)
 
 
@@ -415,36 +409,26 @@ def load_dataset(edge_path, attr_path, label_path, name: str | None = None) -> D
                          name=name or Path(label_path).stem, notes=notes)
 
 
-def _partition_fault(path, index: dict[str, int]) -> None:
-    """Raise at the first bad or repeated assignment line, else name the
-    unknown ids."""
-    seen: set[str] = set()
+def load_partition(path, node_ids: list[str]) -> Partition:
+    """Read an 'id community' file covering exactly the given universe, a
+    line at a time: the first bad or repeated line raises, else the unknown
+    ids are named. Communities are numbered in order of first appearance."""
+    index = {s: i for i, s in enumerate(node_ids)}
+    codes = [-1] * len(node_ids)
+    code: dict[str, int] = {}
     unknown: list[str] = []
-    for lineno, (node, _) in _numbered_rows(path, "assignment", "id community"):
-        if node not in index:
+    for lineno, (node, label) in _numbered_rows(path, _read_text(path),
+                                                "assignment", "id community"):
+        i = index.get(node)
+        if i is None:
             unknown.append(node)
             continue
-        if node in seen:
+        if codes[i] != -1:
             raise DataError(f"{path}:{lineno}: duplicate assignment for id {node!r}")
-        seen.add(node)
+        codes[i] = code.setdefault(label, len(code))
     _check_known(path, "assignment ids", unknown)
-
-
-def load_partition(path, node_ids: list[str]) -> Partition:
-    """Read an 'id community' file covering exactly the given universe."""
-    index = {s: i for i, s in enumerate(node_ids)}
-    fault = _faulter(_partition_fault, path, index)
-    at, labels = [], []
-    for node_col, label_col in _columns(_data_text(path), 2, fault):
-        at.append(_positions(index, node_col, fault))
-        labels += label_col
-    at = np.concatenate(at) if at else np.empty(0, np.int64)
-    if np.bincount(at, minlength=len(node_ids)).max(initial=0) > 1:
-        fault()
-    codes = np.full(len(node_ids), -1, dtype=np.int64)
-    codes[at] = _codes(labels)
-    if (codes == -1).any():
-        missing = [node_ids[i] for i in np.flatnonzero(codes == -1)]
+    missing = [node_ids[i] for i, c in enumerate(codes) if c == -1]
+    if missing:
         raise DataError(f"{path}: nodes without an assignment: {_listed(missing)}")
     return Partition(codes)
 
@@ -632,7 +616,7 @@ def load_cora_content(content_path, cites_path) -> tuple[Path, Path, Path]:
     known: set[str] = set()
     attr_lines: list[str] = []
     label_lines: list[str] = []
-    for lineno, text in _numbered_lines(content):
+    for lineno, text in _data_lines(_read_text(content)):
         row = text.split()
         if len(row) < 3:
             raise DataError(f"{content}:{lineno}: content lines need id, features, class")
@@ -644,7 +628,7 @@ def load_cora_content(content_path, cites_path) -> tuple[Path, Path, Path]:
         known.add(node)
         attr_lines.append(f"{node},{values}\n")
         label_lines.append(f"{node}\t{label}\n")
-    cite_rows = _numbered_rows(cites, "cite", "cited citing")
+    cite_rows = _numbered_rows(cites, _read_text(cites), "cite", "cited citing")
     edge_lines = [f"{u}\t{v}\n" for _, (u, v) in cite_rows if u in known and v in known]
     paths = (out / "edges.tsv", out / "attrs.csv", out / "labels.tsv")
     _write_text(paths[0], "".join(edge_lines))

@@ -7,7 +7,8 @@ flattened partition of the previous pass, any disconnected community is split
 into its components after every pass, and the loop stops only when an entire
 pass changes nothing. Move gains are compared in exact integer arithmetic
 (gain scaled by 4*m^2 is an integer on integer-weighted graphs), so runs are
-bit-deterministic for a given seed.
+bit-deterministic for a given seed; a graph of 2**30 or more edges, whose
+scaled gains could overflow int64, is refused.
 
 Local moving skips Python work without changing a decision: it asks
 :func:`_movers`, an int64 numpy check of all nodes at once, which nodes would
@@ -59,10 +60,17 @@ class _LevelGraph:
     sums a node's edge weight per neighbouring community and zeroes it
     again before moving on. ``k`` is ``strength`` as an array, for the
     vectorized :func:`_movers`.
+
+    Gains scaled by ``4*m^2`` stay within int64 only while ``two_m < 2**31``,
+    so a graph of ``2**30`` or more edges (counted by weight) is refused
+    before any list is built.
     """
 
     def __init__(self, src: np.ndarray, dst: np.ndarray, w: np.ndarray,
                  strength: np.ndarray, two_m: int) -> None:
+        if two_m >= 2**31:
+            raise ValueError(f"Leiden takes fewer than 2**30 edges, got {two_m // 2}: "
+                             "its int64 move gains could overflow")
         self.n = int(strength.size)
         self.src, self.dst, self.w = src, dst, w
         self.strength = strength.tolist()
@@ -80,7 +88,7 @@ class _LevelGraph:
         return cls(src, g.indices, np.ones_like(g.indices), g.degrees, 2 * g.m)
 
 
-def _movers(lg: _LevelGraph, comm: list[int], sigma_tot: list[int]) -> np.ndarray | None:
+def _movers(lg: _LevelGraph, comm: list[int], sigma_tot: list[int]) -> np.ndarray:
     """Mask of the nodes that an attempt of :func:`_local_move` would move.
 
     Applies the attempt's rule to every node at once, in the same integers:
@@ -89,13 +97,9 @@ def _movers(lg: _LevelGraph, comm: list[int], sigma_tot: list[int]) -> np.ndarra
     than 0 while ``sigma_tot[c] - k_v > 0`` (it then leaves for a fresh
     singleton). Edge weights are summed per (node, community) pair over the
     edges sorted by that pair; a stable sort is cheap here, since the edges
-    come sorted by node and mostly meet one community per node. ``None``
-    when ``two_m >= 2**31``, where ``two_m**2`` and so the scaled gains
-    could overflow int64.
+    come sorted by node and mostly meet one community per node.
     """
     n, two_m = lg.n, lg.two_m
-    if two_m >= 2**31:
-        return None
     c = np.asarray(comm, dtype=np.int64)
     sigma = np.asarray(sigma_tot, dtype=np.int64)
     k = lg.k
@@ -155,10 +159,8 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> N
 
     def first_mover(order: np.ndarray | None = None) -> int | None:
         """Position in ``order`` (default: by id) of the first node that
-        would move, 0 when that cannot be checked, ``None`` when none would."""
+        would move, ``None`` when none would."""
         movers = _movers(lg, comm, sigma_tot)
-        if movers is None:
-            return 0
         hits = np.flatnonzero(movers if order is None else movers[order])
         return int(hits[0]) if hits.size else None
 
@@ -171,7 +173,7 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> N
     for v in order[:start].tolist():
         in_queue[v] = False
 
-    def attempt(v: int) -> bool:
+    def attempt(v: int) -> None:
         cv = comm[v]
         kv = strength[v]
         for u, wt in zip(nbrs[v], ws[v]):
@@ -192,7 +194,7 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> N
         if best_gain < 0 and sigma_cv > 0:
             best_c = free.pop()  # a fresh singleton (gain 0) beats every option
         elif best_c == cv:
-            return False
+            return
         comm[v] = best_c
         sigma_tot[cv] = sigma_cv
         sigma_tot[best_c] += kv
@@ -202,7 +204,6 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> N
             if comm[u] != best_c and not in_queue[u]:
                 queue.append(u)
                 in_queue[u] = True
-        return True
 
     while True:
         while queue:
@@ -212,12 +213,8 @@ def _local_move(lg: _LevelGraph, comm: list[int], rng: np.random.Generator) -> N
         start = first_mover()
         if start is None:
             return
-        improved = False
-        for v in range(start, n):
-            if attempt(v):
-                improved = True
-        if not improved:  # a sweep that moved nothing enqueued nothing
-            return
+        for v in range(start, n):  # the node at start moves, so each sweep gains
+            attempt(v)
 
 
 def _draw(gains: list[float], theta: float, rng: np.random.Generator) -> int:

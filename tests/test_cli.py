@@ -348,6 +348,38 @@ def test_metrics_golden_table(tmp_path, capsys):
         "communities        2\n")
 
 
+def test_metrics_json_output(tmp_path, capsys):
+    (tmp_path / "e").write_text("a b\nc d\n")
+    (tmp_path / "l").write_text("a x\nb x\nc y\nd y\n")
+    (tmp_path / "cs").write_text("a 0\nb 0\nc 1\nd 1\n")
+    code = main(["metrics", "--edges", str(tmp_path / "e"),
+                 "--labels", str(tmp_path / "l"),
+                 "--assignment", str(tmp_path / "cs"), "--json"])
+    assert code == 0
+    text = capsys.readouterr().out
+    record = json.loads(text)
+    assert list(record) == ["Con", "F1", "NMI", "O_c", "Q", "communities"]
+    assert record == {"Q": pytest.approx(0.5), "NMI": pytest.approx(1.0), "Con": 0.0,
+                      "F1": pytest.approx(1.0), "O_c": 1.0, "communities": 2}
+    assert text == json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+def test_gen_json_output(tmp_path, capsys):
+    out = tmp_path / "g"
+    capsys.readouterr()
+    assert main(["gen", "--n", "30", "--k", "3", "--t", "6", "--seed", "2",
+                 "--disconnect-fraction", "0.5", "--out", str(out), "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    bundle = generate_synthetic(SyntheticSpec(n=30, k=3, t=6, seed=2, disconnect_fraction=0.5))
+    names = {"attrs": "attrs.csv", "edges": "edges.tsv", "labels": "labels.tsv",
+             "planted": "planted.tsv"}
+    assert record == {"n": 30, "m": bundle.graph.m, "t": 6, "labels": 2, "planted": 3,
+                      "files": {k: str(out / name) for k, name in names.items()}}
+    assert sorted(p.name for p in out.iterdir()) == sorted(names.values())
+    assert (load_dataset(out / "edges.tsv", out / "attrs.csv", out / "labels.tsv")
+            .graph.m == bundle.graph.m)
+
+
 def test_gen_byte_identical_runs(tmp_path):
     a = _fixture(tmp_path / "a", seed=9)
     b = _fixture(tmp_path / "b", seed=9)
@@ -370,11 +402,17 @@ def test_leiden_subcommand(tmp_path, capsys):
     assert record["communities"] == cs.k
 
 
-def test_refine_subcommand_on_disconnected_labels(tmp_path, capsys):
+def _disconnected_fixture(tmp_path):
+    """40 nodes in 4 planted blocks, united in pairs into 2 disconnected labels."""
     out = tmp_path / "data"
-    main(["gen", "--n", "40", "--k", "4", "--p-in", "0.6", "--p-out", "0.05",
-          "--t", "8", "--s", "0.5", "--disconnect-fraction", "1.0",
-          "--seed", "3", "--out", str(out)])
+    assert main(["gen", "--n", "40", "--k", "4", "--p-in", "0.6", "--p-out", "0.05",
+                 "--t", "8", "--s", "0.5", "--disconnect-fraction", "1.0",
+                 "--seed", "3", "--out", str(out)]) == 0
+    return out
+
+
+def test_refine_subcommand_on_disconnected_labels(tmp_path, capsys):
+    out = _disconnected_fixture(tmp_path)
     capsys.readouterr()
     code = main(["refine", "--edges", str(out / "edges.tsv"),
                  "--labels", str(out / "labels.tsv"), "--runs", "2", "--json"])
@@ -385,6 +423,30 @@ def test_refine_subcommand_on_disconnected_labels(tmp_path, capsys):
     assert record["O_c_labels"] == 2.0
     assert record["O_c_refined"] == 1.0
     assert record["Q_refined"] >= record["Q_labels"] - 1e-12
+
+
+def test_refine_writes_the_refined_assignment_and_table(tmp_path, capsys):
+    data = _disconnected_fixture(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "rout"
+    code = main(["refine", "--edges", str(data / "edges.tsv"),
+                 "--labels", str(data / "labels.tsv"), "--runs", "2", "--seed", "5",
+                 "--out", str(out)])
+    assert code == 0
+    bundle = load_dataset(data / "edges.tsv", None, data / "labels.tsv")
+    refined = load_partition(out / "assignment.tsv", bundle.node_ids)
+    q_labels = modularity(bundle.graph, bundle.labels)
+    q_refined = modularity(bundle.graph, refined)
+    assert capsys.readouterr().out == (
+        "metric            labels   refined\n"
+        "communities            2         4\n"
+        f"Q             {q_labels * 100:>10.1f}{q_refined * 100:>10.1f}\n"
+        "O_c                2.000     1.000\n")
+    record = json.loads((out / "metrics.json").read_text())
+    assert record == {"labels": 2, "refined": 4, "Q_labels": q_labels,
+                      "Q_refined": q_refined, "O_c_labels": 2.0, "O_c_refined": 1.0}
+    assert json.loads((out / "config.json").read_text()) == {"runs": 2, "seed": 5}
+    assert not (out / "timings.json").exists()
 
 
 def test_ablate_rejects_full_mode(tmp_path, capsys):
@@ -529,6 +591,24 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
                  "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "epocsh" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "7", "null", '"epochs"'])
+def test_config_file_not_an_object_exits_2(tmp_path, capsys, text):
+    data = _fixture(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    code = main(["detect", "--edges", str(data / "edges.tsv"),
+                 "--attrs", str(data / "attrs.csv"),
+                 "--labels", str(data / "labels.tsv"),
+                 "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --config: {cfg} must hold a JSON object\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_env_var_sets_default_output_dir(tmp_path, monkeypatch, capsys):

@@ -348,9 +348,9 @@ def test_attribute_free_load_stays_sparse(tmp_path):
 
 def test_triplet_load_holds_no_dense_array(tmp_path):
     # 1% of a 2000 x 2000 matrix as triplets; the dense array is 32 MB. The
-    # file is tokenized a block of about 2^16 fields at a time, at about 60
-    # bytes per field, so the load peaks near 6 MB here: under a quarter of
-    # one dense array, not a tenth
+    # file is read a line at a time into compact buffers, and its list of
+    # lines, at about 70 bytes a line, is most of a peak near 4.5 MB here:
+    # under a quarter of one dense array, not a tenth
     rng = np.random.default_rng(17)
     n, t = 2000, 2000
     rows, cols = np.nonzero(rng.random((n, t)) < 0.01)

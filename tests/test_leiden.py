@@ -242,12 +242,18 @@ def test_seeded_outputs_are_pinned_on_a_block_model():
         "73a447b315d3bc87ea8ba82baba637f4d8aac06ef12a86fe1ce8d734e04bfd72")
 
 
-def _level_graph(n: int, edges: list[tuple[int, int, int]]) -> _LevelGraph:
-    """Level graph from weighted (u, v, w) edges between distinct nodes."""
+def _level_arrays(n: int, edges: list[tuple[int, int, int]]):
+    """``_LevelGraph`` arguments for weighted (u, v, w) edges between
+    distinct nodes."""
     both = sorted([(u, v, w) for u, v, w in edges] + [(v, u, w) for u, v, w in edges])
     src, dst, w = (np.asarray(col, dtype=np.int64) for col in zip(*both))
     strength = np.bincount(src, weights=w, minlength=n).astype(np.int64)
-    return _LevelGraph(src, dst, w, strength, int(strength.sum()))
+    return src, dst, w, strength, int(strength.sum())
+
+
+def _level_graph(n: int, edges: list[tuple[int, int, int]]) -> _LevelGraph:
+    """Level graph from weighted (u, v, w) edges between distinct nodes."""
+    return _LevelGraph(*_level_arrays(n, edges))
 
 
 @pytest.mark.parametrize("comm", [[0, 1, 1, 2, 2], [0, 2, 2, 1, 1], [2, 1, 1, 0, 0]])
@@ -519,22 +525,34 @@ def test_movers_flag_a_node_that_loses_by_staying():
         assert _movers(lg, comm, sigma).tolist() == movers
 
 
-def test_local_move_reaches_the_fixpoint_where_gains_could_overflow_int64():
-    """With ``two_m >= 2**31`` ``_movers`` declines, and local moving checks
-    every node in Python integers until none would move."""
+class _ListCounting(np.ndarray):
+    """An array view that counts the Python lists made from it."""
+
+    lists = 0
+
+    def tolist(self):
+        type(self).lists += 1
+        return super().tolist()
+
+
+def test_level_graph_refuses_gains_that_could_overflow_int64():
+    """With ``two_m >= 2**31`` the scaled gains could overflow int64, so the
+    level graph refuses, naming the edge count (by weight), before it makes
+    any Python list of its arrays."""
     rng = np.random.default_rng(31)
     for trial in range(5):
         g = random_graph(rng, 40, 0.15)
         edges = [(int(u), int(v), int(rng.integers(2**26, 2**27)))
                  for u, v in zip(g.edge_u, g.edge_v)]
-        lg = _level_graph(g.n, edges)
-        assert lg.two_m >= 2**31
-        comm = list(range(g.n))
-        assert _movers(lg, comm, _sigma_tot(lg, comm)) is None
-        assert any(movers_oracle(lg, comm, _sigma_tot(lg, comm)))
-        _local_move(lg, comm, np.random.default_rng(trial))
-        assert not any(movers_oracle(lg, comm, _sigma_tot(lg, comm)))
-        assert lg.scratch == [0] * lg.n
+        *arrays, two_m = _level_arrays(g.n, edges)
+        assert two_m >= 2**31
+        arrays = [a.view(_ListCounting) for a in arrays]
+        _ListCounting.lists = 0
+        with pytest.raises(ValueError, match=f"fewer than 2\\*\\*30 edges, got {two_m // 2}:"):
+            _LevelGraph(*arrays, two_m)
+        assert _ListCounting.lists == 0
+        _LevelGraph(*arrays, 2**31 - 1)  # the largest two_m taken makes its lists
+        assert _ListCounting.lists > 0
 
 
 def test_local_move_ends_at_a_fixpoint_on_aggregated_levels():
@@ -550,6 +568,58 @@ def test_local_move_ends_at_a_fixpoint_on_aggregated_levels():
         comm = canonical_labels(rng.integers(0, lg.n, lg.n)).tolist()
         _local_move(lg, comm, rng)
         assert not any(movers_oracle(lg, comm, _sigma_tot(lg, comm)))
+
+
+class _VisitPrefix:
+    """Generator stand-in for ``_refine``: it visits the first ``stop`` nodes
+    of ``order`` and draws the uniforms of a fresh generator seeded ``seed``,
+    so a run with a longer prefix repeats every step of a shorter one."""
+
+    def __init__(self, order: np.ndarray, stop: int, seed: int) -> None:
+        self.order, self.stop = order, stop
+        self.rng = np.random.default_rng(seed)
+
+    def permutation(self, n: int) -> np.ndarray:
+        return self.order[:self.stop]
+
+    def random(self) -> float:
+        return self.rng.random()
+
+
+def test_refine_after_local_move_merges_every_singleton_with_a_community_neighbour():
+    """At a local-move fixpoint a node v of a community C with other members
+    has W(v, C∖v)·2m ≥ σ(C∖v)·k_v, or it would leave for a fresh singleton.
+    While v is still alone in ``_refine``, the groups it touches split its
+    neighbours in C, so their scaled gains sum to at least that and one is
+    ≥ 0. So ``_refine``'s "no candidate" guard and ``_one_pass``'s "nothing
+    merged" break are never taken after ``_local_move``. Replayed one visit
+    at a time, on random graphs and on the aggregated levels above them:
+    every node visited alone that has a neighbour in its community leaves
+    its group, and some merge happens whenever a community has 2 or more
+    nodes."""
+    rng = np.random.default_rng(77)
+    seen = {"level 0": 0, "aggregated": 0}
+    for trial in range(100):
+        n = int(rng.integers(5, 70))
+        lg = _LevelGraph.from_graph(random_graph(rng, n, float(rng.uniform(0.03, 0.3))))
+        comm = list(range(n))
+        for level in seen:
+            _local_move(lg, comm, rng)
+            comm = canonical_labels(np.asarray(comm)).tolist()
+            order, seed = rng.permutation(lg.n), int(rng.integers(2**32))
+            ref = list(range(lg.n))
+            for p, v in enumerate(order.tolist()):
+                after = _refine(lg, comm, _VisitPrefix(order, p + 1, seed))
+                # the replay repeats the shorter run: this visit moves v at most
+                assert [i for i in range(lg.n) if after[i] != ref[i]] in ([], [v])
+                if ref.count(ref[v]) == 1 and any(comm[u] == comm[v] for u in lg.nbrs[v]):
+                    assert after[v] != ref[v], (trial, level, v)
+                    seen[level] += 1
+                ref = after
+            if max(np.bincount(comm)) > 1:
+                assert len(set(ref)) < lg.n
+            lg, comm = _aggregate(lg, canonical_labels(np.asarray(ref)), comm)
+    assert min(seen.values()) > 0, seen
 
 
 class _FixedUniform:
