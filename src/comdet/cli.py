@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+import warnings
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
@@ -43,43 +45,19 @@ _ENV_OUT = "COMDET_OUT_DIR"
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; the contract says 1.
 
-    A setting flag (``setting_flags``, added by ``_add_flag``) takes the next
-    word as its value even when it starts with ``-``: argparse alone takes
-    ``--lr -1e-3`` for two flags. So the value reaches the setting's parser,
-    as it does from ``--config``.
+    A word that starts with one ``-`` and names no option is a value, so
+    ``--lr -1e-3`` reaches the setting's parser as it does from ``--config``.
+    The rule is argparse's private ``_negative_number_matcher`` (checked on
+    CPython 3.11.7), set once ``-h`` is registered under the default rule.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.setting_flags: set[str] = set()
+        self._negative_number_matcher = re.compile(r"-[^-]")
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-    def _names_setting(self, word: str) -> bool:
-        """Whether ``word`` is a setting flag, whole or by the unique prefix
-        argparse accepts for it."""
-        if word in self.setting_flags:
-            return True
-        if not word.startswith("--") or "=" in word:
-            return False
-        hits = [flag for action in self._actions for flag in action.option_strings
-                if flag.startswith(word)]
-        return len(hits) == 1 and hits[0] in self.setting_flags
-
-    def parse_known_args(self, args=None, namespace=None):
-        words = list(sys.argv[1:] if args is None else args)
-        joined = []
-        while words:
-            word = words.pop(0)
-            if word == "--":
-                joined += [word, *words]
-                break
-            if words and words[0].startswith("-") and self._names_setting(word):
-                word = f"{word}={words.pop(0)}"
-            joined.append(word)
-        return super().parse_known_args(joined, namespace)
 
 
 def _default_out() -> str:
@@ -340,7 +318,6 @@ def _add_flag(p: _Parser, flag: str, default, text: str = "", **kwargs) -> None:
                  else getattr(default, "value", default))
         text = f"{text} (default {shown})".lstrip()
     p.add_argument(flag, help=text, **kwargs)
-    p.setting_flags.add(flag)
 
 
 def _add_settings(p: _Parser, keys, runs: str | None = None,
@@ -411,14 +388,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
-    try:
-        return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime failures map to exit code 3
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():  # a warning is one line, with no source line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except DataError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # runtime failures map to exit code 3
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 3
 
 
 def entry() -> None:

@@ -371,6 +371,8 @@ def _load_triplets(path, text: str, index: dict[str, int], n: int) -> sp.csr_mat
             raise DataError(f"{path}:{lineno}: bad triplet {row!r} ({exc})") from exc
         if j < 0:
             raise DataError(f"{path}:{lineno}: negative attribute index in {row!r}")
+        if j >= 2**63 - 1:  # the column count j + 1 must fit in int64
+            raise DataError(f"{path}:{lineno}: attribute index over 2**63 - 2 in {row!r}")
         rows.append(i)
         cols.append(j)
         vals.append(v)

@@ -45,6 +45,11 @@ def test_usage_errors_exit_1(capsys):
     assert main(["detect", "--no-such-flag"]) == 1
     assert main(["nosuchcommand"]) == 1
     assert main([]) == 1
+    # a word that starts with "--", or names an option, is no value
+    for flags in (["--lr", "--x"], ["--mode", "-h"], ["--seed", "-h5"]):
+        assert main(["detect", "--edges", "e", "--labels", "l", *flags]) == 1
+        err = capsys.readouterr().err
+        assert "expected one argument" in err and "Traceback" not in err
 
 
 def test_missing_file_exits_2_naming_the_flag(tmp_path, capsys):
@@ -166,6 +171,9 @@ def test_adjacency_note_only_from_commands_that_read_attributes(tmp_path, capsys
 @pytest.mark.parametrize("cmd, flags, error", [
     ("detect", ["--config", "cfg.json"], "--config: unknown keys ['threshold_rule']"),
     ("ablate", ["--mode", "full"], "--mode: ablate needs an ablation mode"),
+    # any word with one leading "-" that names no option is a flag's value
+    ("detect", ["--name", "-n", "--config", "cfg.json"], "--config: unknown keys"),
+    ("ablate", ["--out", "-o", "--mode", "full"], "--mode: ablate needs an ablation mode"),
 ])
 def test_detect_and_ablate_check_settings_before_reading_files(tmp_path, capsys, monkeypatch,
                                                                 cmd, flags, error):
@@ -201,6 +209,28 @@ def test_encoder_too_large_for_memory_exits_2_before_any_stage(tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert f"T={10 ** 12 + 1}" in err and "hidden_dims=(256, 128, 64)" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")  # no overflow warning on the way
+@pytest.mark.parametrize("index, needle", [
+    (2 ** 63 - 2, f"T={2 ** 63 - 1} "),  # loads, then the memory check refuses it
+    (2 ** 63 - 1, ":1: attribute index over 2**63 - 2 in ['a', '9223372036854775807', '1']"),
+    (10 ** 20 - 1, ":1: attribute index over 2**63 - 2 in ['a', '99999999999999999999', '1']"),
+])
+def test_triplet_index_past_int64_exits_2(tmp_path, capsys, monkeypatch, index, needle):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a pipeline stage ran")
+
+    (tmp_path / "e").write_text("a b\n")
+    (tmp_path / "l").write_text("a x\nb y\n")
+    (tmp_path / "x").write_text(f"a {index} 1\nb 0 1\n")
+    monkeypatch.setattr(pipeline, "best_of_runs", no_stage)
+    code = main(["detect", "--edges", str(tmp_path / "e"), "--labels", str(tmp_path / "l"),
+                 "--attrs", str(tmp_path / "x"), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and needle in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -346,6 +376,19 @@ def test_metrics_golden_table(tmp_path, capsys):
         "F1             100.0\n"
         "O_c            1.000\n"
         "communities        2\n")
+
+
+def test_a_package_warning_is_one_stderr_line(tmp_path, capsys):
+    (tmp_path / "e").write_text("")
+    (tmp_path / "l").write_text("a x\nb y\n")
+    (tmp_path / "cs").write_text("a 0\nb 1\n")
+    code = main(["metrics", "--edges", str(tmp_path / "e"),
+                 "--labels", str(tmp_path / "l"),
+                 "--assignment", str(tmp_path / "cs")])
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "warning: 2 communities have a zero-volume side; their conductance is defined as 0\n"
+        "warning: modularity of an edgeless graph is defined as 0\n")
 
 
 def test_metrics_json_output(tmp_path, capsys):

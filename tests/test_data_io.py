@@ -127,6 +127,15 @@ def test_sparse_triplet_attributes(tmp_path):
                           [[1.5, 0, 0, 2.0], [0, 4.0, 0, 0]])
 
 
+def test_triplet_index_just_under_the_int64_limit_loads(tmp_path):
+    e = _write(tmp_path, "e", "a b\n")
+    x = _write(tmp_path, "x", "a 9223372036854775806 1\nb 0 2\n")
+    l = _write(tmp_path, "l", "a u\nb v\n")
+    x = load_dataset(e, x, l).attributes
+    assert x.shape == (2, 2 ** 63 - 1)
+    assert x.indices.tolist() == [2 ** 63 - 2, 0] and x.data.tolist() == [1.0, 2.0]
+
+
 def _attr_error(tmp_path, attrs, labels="a u\nb v\n"):
     e = _write(tmp_path, "e", "a b\n")
     x = _write(tmp_path, "x", attrs)
@@ -152,6 +161,11 @@ def _attr_error(tmp_path, attrs, labels="a u\nb v\n"):
     ("a 0 nan\nb 0 1\na 0 1\n", ": attribute matrix contains non-finite values"),
     ("", "no attribute entries found"),
     ("# nothing here\n\n", "no attribute entries found"),
+    # the column count, index + 1, must fit in int64
+    ("a 0 1\nb 9223372036854775807 2\n",
+     ":2: attribute index over 2**63 - 2 in ['b', '9223372036854775807', '2']"),
+    ("a 0 1\nb 99999999999999999999 2\n",
+     ":2: attribute index over 2**63 - 2 in ['b', '99999999999999999999', '2']"),
 ])
 def test_attribute_errors_name_the_offence(tmp_path, attrs, needle):
     assert needle in _attr_error(tmp_path, attrs)

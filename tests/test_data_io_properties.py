@@ -9,9 +9,9 @@ that reads one line at a time. Corrupted copies must fail with the message
 the reference gives: a fault in one line names that line's ``file:line``,
 and of two faults the one the line-by-line reader meets first is reported.
 Triplet files, repeated cells included, must load as the reference reads
-them (the last value wins, and a non-finite value is refused even when a
-later line overwrites it), and as the dense CSV file of the same matrix
-loads. Assignment files must load, or be refused, as ``reference_partition``
+them (the last value wins, a non-finite value is refused even when a
+later line overwrites it, and an index with no int64 column count is
+refused at its line), and as the dense CSV file of the same matrix loads. Assignment files must load, or be refused, as ``reference_partition``
 reads them.
 
 Skipped when hypothesis is not installed; runs under the ``tier1`` profile
@@ -145,6 +145,8 @@ def _reference_triplets(attr_path, attr_lines, ids) -> list[list[float]]:
             raise Rejected(f"{attr_path}:{k}: bad triplet {row!r} ({exc})") from None
         if j < 0:
             raise Rejected(f"{attr_path}:{k}: negative attribute index in {row!r}")
+        if j > 2 ** 63 - 2:
+            raise Rejected(f"{attr_path}:{k}: attribute index over 2**63 - 2 in {row!r}")
         cells[row[0], j] = v  # a later line overwrites an earlier one
         values.append(v)
     if unknown:
@@ -427,6 +429,11 @@ def test_repeated_triplets_keep_the_last_value(data, block_cells):
         k = data.draw(st.integers(0, len(rows) - 1))
         i, j, _ = rows[k]
         rows.insert(k, (i, j, data.draw(st.sampled_from(["nan", "inf", "-inf"]))))
+    # maybe a line whose index leaves no int64 column count, or no int64 at all
+    huge = data.draw(st.sampled_from([None, None, 2 ** 63 - 1, 10 ** 20 - 1]))
+    if huge is not None:
+        rows.insert(data.draw(st.integers(0, len(rows))),
+                    (data.draw(st.integers(0, n - 1)), huge, data.draw(_TRIPLET_CELLS)))
     files = {"l": [f"{node} 0" for node in ids], "e": [],
              "x": data.draw(_noisy([f"{ids[i]} {j} {v}" for i, j, v in rows]))}
     with tempfile.TemporaryDirectory() as tmp:
