@@ -12,6 +12,7 @@ count with floor 1, not a percentage. ``--json`` switches to raw values.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import re
@@ -381,6 +382,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _openblas(symbol: str):
+    """``symbol`` of the OpenBLAS that numpy's wheel bundles, as a ctypes
+    function, or None where numpy links another build or BLAS. The library is
+    reached through numpy's core extension, which links it."""
+    try:
+        from numpy._core import _multiarray_umath
+        return getattr(ctypes.CDLL(_multiarray_umath.__file__), symbol)
+    except (ImportError, OSError, AttributeError):
+        return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -388,6 +400,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
+    # a product split over more threads rounds differently, so the output
+    # bytes would depend on OPENBLAS_NUM_THREADS; with another BLAS build the
+    # command runs unpinned
+    set_threads = _openblas("scipy_openblas_set_num_threads64_")
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
     with warnings.catch_warnings():  # a warning is one line, with no source line
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:

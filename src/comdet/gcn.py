@@ -48,6 +48,9 @@ from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from .graph import Graph
 
+__all__ = ["GcnModel", "TrainingDiverged", "load_checkpoint", "normalized_adjacency",
+           "save_checkpoint", "train"]
+
 SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
 # SELU′ of z ≤ 0 is λα·exp(z) = selu(z) + λα

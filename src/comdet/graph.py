@@ -8,6 +8,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
+__all__ = ["Graph", "Partition", "induced_subgraph", "merge_partitions", "split_into_components"]
+
 
 def _check_integer(name: str, value, low: int) -> None:
     """Reject a bool, a non-integer (a whole float too) or a value below ``low``."""

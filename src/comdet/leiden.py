@@ -34,6 +34,8 @@ import numpy as np
 
 from .graph import Graph, Partition, _check_integer, canonical_labels, split_into_components
 
+__all__ = ["LeidenConfig", "best_of_runs", "leiden"]
+
 THETA = 0.01  # refinement draws a merge with probability ∝ exp(gain / THETA)
 
 

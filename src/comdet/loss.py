@@ -19,6 +19,8 @@ import scipy.sparse as sp
 from .gcn import _blocks
 from .graph import Partition
 
+__all__ = ["PairwiseTarget", "pairwise_loss"]
+
 
 class PairwiseTarget:
     """One-hot community indicator of a partition, kept sparse."""

@@ -8,6 +8,8 @@ import numpy as np
 
 from .graph import Graph, Partition, component_counts
 
+__all__ = ["conductance", "connectivity_score", "f1_score", "modularity", "nmi"]
+
 
 def _contingency(c: Partition, d: Partition) -> tuple[np.ndarray, ...]:
     """Nonzero contingency cells (row-major) and the row and column sums.

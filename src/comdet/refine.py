@@ -24,6 +24,8 @@ from .graph import (
 from .leiden import LeidenConfig, best_of_runs
 from .metrics import modularity
 
+__all__ = ["RefineConfig", "refine_labels"]
+
 
 @dataclass
 class RefineConfig:

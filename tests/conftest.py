@@ -15,6 +15,8 @@ test process. Entry order is kept and empty entries are left alone.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import itertools
 import os
 import tracemalloc
@@ -28,6 +30,7 @@ import numpy as np
 import pytest
 
 from comdet.birch import _radius
+from comdet.cli import _openblas
 from comdet.gcn import SELU_ALPHA, SELU_LAMBDA
 from comdet.graph import Graph, Partition, canonical_labels
 
@@ -80,6 +83,35 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+# the OpenBLAS kernel on which the tests' bit pins and digests were taken
+PINNED_KERNEL = "SkylakeX"
+
+
+def blas_kernel() -> str:
+    """The core name numpy's OpenBLAS picked for this CPU (``SkylakeX``,
+    ``Haswell``, ...), or ``unknown`` where numpy bundles no such library."""
+    corename = _openblas("scipy_openblas_get_corename64_")
+    if corename is None:
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+@contextlib.contextmanager
+def kernel_sensitive():
+    """Add the pinned and the running BLAS kernel to a failed assertion.
+
+    Another GEMM kernel rounds some products differently, so a bit pin taken
+    on one kernel can fail on another with no defect in the program.
+    """
+    try:
+        yield
+    except AssertionError as exc:
+        exc.args = (f"{exc}\npinned on the {PINNED_KERNEL} OpenBLAS kernels, "
+                    f"running on {blas_kernel()}",)
+        raise
 
 
 def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -688,3 +689,26 @@ def test_module_entry_point_subprocess(tmp_path):
     proc = subprocess.run(detect, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["communities"] >= 1
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU runs one BLAS thread")
+def test_detect_writes_the_same_bytes_on_any_blas_thread_count(tmp_path):
+    # n = 390 (t = 24, 5 epochs, the default layer sizes) is the smallest gen
+    # bundle found whose metrics.json differed between one and two OpenBLAS
+    # threads while the CLI left the thread count to the environment
+    assert cli._openblas("no_such_symbol") is None  # where the pin falls back
+    data = tmp_path / "d"
+    assert main(["gen", "--n", "390", "--seed", "0", "--out", str(data)]) == 0
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "comdet", "detect", "--edges", str(data / "edges.tsv"),
+             "--attrs", str(data / "attrs.csv"), "--labels", str(data / "labels.tsv"),
+             "--epochs", "5", "--leiden-runs", "1", "--refine-runs", "1", "--seed", "0",
+             "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        written.append((out / "metrics.json").read_bytes())
+    assert written[0] == written[1]

@@ -60,7 +60,8 @@ from comdet.gcn import (
 from comdet.graph import Partition, canonical_labels
 from comdet.loss import PairwiseTarget, pairwise_loss
 
-from conftest import assert_same_bits, random_graph, random_partition, reference_selu_grad
+from conftest import (assert_same_bits, kernel_sensitive, random_graph, random_partition,
+                      reference_selu_grad)
 
 gcn = importlib.import_module("comdet.gcn")
 
@@ -343,7 +344,7 @@ def test_blocked_encoder_matches_the_whole_array_form(case):
              for w in ((1.0, 0.7) if two_terms else (1.0,))]
     ax0 = model.propagate(x)
     assert isinstance(ax0.args[0], LinearOperator) == factored
-    with mock.patch.object(gcn, "_BLOCK_CELLS", block_cells):
+    with kernel_sensitive(), mock.patch.object(gcn, "_BLOCK_CELLS", block_cells):
         xe_ref, (value_ref, d_xe_ref), head, grads_ref = reference_forward_backward(
             model, ax0, terms)
         xe, cache = model.forward(ax0)

@@ -1,4 +1,5 @@
-"""No public definition ships in ``src/comdet`` unless the package reaches it.
+"""No public definition ships in ``src/comdet`` unless the package reaches it,
+and every module but ``__main__`` states its public names in ``__all__``.
 
 A public top-level ``def`` or ``class`` (a name without a leading underscore)
 counts as reached when some module of the package names it: as a ``Name``
@@ -22,10 +23,14 @@ import comdet
 PACKAGE = Path(comdet.__file__).parent
 
 
+def _all_assignments(tree: ast.Module) -> list[ast.Assign]:
+    return [node for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+
+
 def _all_entries(tree: ast.Module):
-    for node in tree.body:
-        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+    for node in _all_assignments(tree):
+        if isinstance(node.value, (ast.List, ast.Tuple)):
             yield from (e.value for e in node.value.elts if isinstance(e, ast.Constant))
 
 
@@ -38,6 +43,13 @@ def _names(node: ast.AST) -> set[str]:
     """The names read inside ``node``: ``Name`` ids and ``Attribute`` attrs."""
     return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_every_module_declares_its_public_names():
+    # the package re-exports each module's __all__; only the entry script has none
+    missing = [module for module, tree in _trees().items()
+               if module != "__main__" and not _all_assignments(tree)]
+    assert missing == [], f"modules without __all__: {missing}"
 
 
 def test_every_public_definition_is_reached_from_the_package():

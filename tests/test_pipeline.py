@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import weakref
 
 import numpy as np
@@ -36,6 +37,8 @@ from comdet.pipeline import (
     resolve_mu,
     run,
 )
+
+from conftest import kernel_sensitive
 
 
 def _small_cfg(**kw) -> RunConfig:
@@ -252,17 +255,26 @@ def test_public_surface_is_pinned():
     # a new export should be a deliberate change to this list
     assert sorted(comdet.__all__) == [
         "BirchConfig", "DataError", "DatasetBundle", "GcnModel", "Graph",
-        "LeidenConfig", "PairwiseTarget", "Partition", "RefineConfig", "RunConfig",
-        "RunMode", "RunResult", "SyntheticSpec", "TrainingDiverged",
+        "LeidenConfig", "MU_DEFAULTS", "PairwiseTarget", "Partition", "RefineConfig",
+        "RunConfig", "RunMode", "RunResult", "SyntheticSpec", "TrainingDiverged",
         "__version__", "adjacency_as_features", "best_of_runs", "birch_cluster",
         "conductance", "connectivity_score", "f1_score", "generate_synthetic",
-        "induced_subgraph", "leiden", "load_checkpoint", "load_dataset",
+        "induced_subgraph", "leiden", "load_checkpoint", "load_cora_content", "load_dataset",
         "load_partition", "merge_partitions", "metric_report", "modularity", "nmi",
         "normalized_adjacency", "pairwise_loss", "refine_labels", "resolve_mu", "run",
         "save_checkpoint", "split_into_components", "train",
         "write_bundle", "write_results",
     ]
-    assert all(hasattr(comdet, name) for name in comdet.__all__)
+    # the package re-exports each module's __all__, in import order, and
+    # declares no public name of its own but its version
+    modules = [sys.modules[f"comdet.{name}"] for name in (
+        "graph", "metrics", "leiden", "refine", "gcn", "loss", "birch", "data_io", "pipeline")]
+    assert comdet.__all__ == [name for m in modules for name in m.__all__] + ["__version__"]
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(comdet, name) is getattr(m, name), f"{m.__name__}.{name}"
+    # the function, not the submodule of the same name
+    assert comdet.leiden is sys.modules["comdet.leiden"].leiden
 
 
 def _pinned_cfg(mode: RunMode) -> RunConfig:
@@ -318,13 +330,15 @@ def test_run_metrics_are_pinned_per_mode(tmp_path, mode):
     bundle = generate_synthetic(
         SyntheticSpec(n=90, k=3, p_in=0.15, p_out=0.04, t=9, s=0.5,
                       disconnect_fraction=0.5, seed=8))
-    assert _metrics_digest(tmp_path, bundle, _pinned_cfg(mode)) == _MODE_DIGESTS[mode]
+    with kernel_sensitive():
+        assert _metrics_digest(tmp_path, bundle, _pinned_cfg(mode)) == _MODE_DIGESTS[mode]
 
 
 def test_triplet_bundle_metrics_are_pinned(tmp_path):
     bundle = _triplet_bundle(tmp_path)
-    assert _metrics_digest(tmp_path, bundle, _pinned_cfg(RunMode.FULL)) == (
-        "c423c578bc6c5a5c1d65b2e961ac2788a2384849eed0025d3b58d830a5c546a2")
+    with kernel_sensitive():
+        assert _metrics_digest(tmp_path, bundle, _pinned_cfg(RunMode.FULL)) == (
+            "c423c578bc6c5a5c1d65b2e961ac2788a2384849eed0025d3b58d830a5c546a2")
 
 
 def test_triplet_attributes_are_canonical_csr_and_run_like_their_dense_array(tmp_path):
